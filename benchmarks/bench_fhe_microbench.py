@@ -4,11 +4,11 @@ Times the real Python implementations of the basic and HE operations
 (pytest-benchmark) and checks that their cost *ordering* matches the
 hardware characterization of Table I: KeySwitch > Rescale >> elementwise.
 
-``test_bench_fastpath_end_to_end`` additionally measures the kernel fast
-paths (batched lazy NTT, NTT-domain Galois, plaintext caching, vectorized
-KeySwitch) against the seed per-prime baseline on the full encrypted
-FxHENN-MNIST forward, and writes the machine-readable before/after record
-to ``benchmarks/output/BENCH_fhe.json``.
+``test_bench_fastpath_end_to_end`` additionally times the full encrypted
+FxHENN-MNIST forward on the production ``montgomery`` kernel backend
+against the per-prime ``reference`` backend running the same algorithms,
+and writes the machine-readable before/after record to
+``benchmarks/output/BENCH_fhe.json``.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ import pytest
 
 from repro import obs
 from repro.fhe import CkksContext, Evaluator, get_ntt_context, tiny_test_params
-from repro.fhe import fastpath, kernels, ntt
+from repro.fhe import kernels
 from repro.fhe.modmath import BarrettConstant, barrett_reduce, generate_ntt_primes
-from repro.fhe.ntt import get_batched_ntt_context
 from repro.hecnn import fxhenn_mnist_model, synthetic_mnist_image
 
 OUTPUT_DIR = Path(__file__).parent / "output"
@@ -110,20 +109,53 @@ def test_cost_hierarchy_matches_table1(bench_ctx, bench_ct):
 
 
 def test_bench_batched_ntt_forward(benchmark):
-    """All L RNS rows in one stacked lazy-reduction call."""
+    """All L RNS rows in one stacked call of the default backend."""
     primes = tuple(generate_ntt_primes(28, 7, 2048))
-    ctx = get_batched_ntt_context(2048, primes)
+    backend = kernels.get_backend(kernels.DEFAULT_BACKEND)
     rng = np.random.default_rng(4)
     a = np.stack(
         [rng.integers(0, q, 2048).astype(np.uint64) for q in primes]
     )
-    out = benchmark(ctx.forward, a)
+    out = benchmark(backend.forward, 2048, primes, a)
     assert out.shape == (7, 2048)
 
 
+def _transform_counts() -> dict[str, int]:
+    """The always-live NTT transform counters of the obs registry."""
+    reg = obs.get_registry()
+    counts = {
+        f"{d}_{kind}": reg.counter(f"ntt_transform_{kind}", direction=d).value
+        for d in ("forward", "inverse")
+        for kind in ("calls", "rows")
+    }
+    counts["total_rows"] = counts["forward_rows"] + counts["inverse_rows"]
+    return counts
+
+
+def _timed_inference(net, ctx, image, runs: int):
+    """Best-of-``runs`` inference seconds, plus the NTT transform counts
+    and the output of the last inference."""
+    best = float("inf")
+    for _ in range(runs):
+        obs.reset()
+        start = time.perf_counter()
+        out = net.infer(ctx, image)
+        best = min(best, time.perf_counter() - start)
+    return best, _transform_counts(), out
+
+
 def test_bench_fastpath_end_to_end(save_report):
-    """Before/after of the kernel fast paths on the encrypted MNIST forward
-    (reduced N=2048, L=7 ring), emitting ``BENCH_fhe.json``."""
+    """Before/after of the kernel backend on the encrypted MNIST forward
+    (reduced N=2048, L=7 ring), emitting ``BENCH_fhe.json``.
+
+    "Before" is the per-prime ``reference`` backend, "after" the default
+    ``montgomery`` backend; both run the same algorithms (hoisted folds,
+    vectorized KeySwitch, NTT-resident Rescale/Galois) from the same warm
+    plaintext cache, so they perform identical transform work and the
+    speedup isolates the kernel implementation.  Each figure is the best
+    of several runs — the steady-state latency, insulated from transient
+    host contention.
+    """
     params = tiny_test_params(poly_degree=2048, level=7)
     net = fxhenn_mnist_model(seed=0, params=params)
     ctx = CkksContext(params, seed=1)
@@ -131,29 +163,15 @@ def test_bench_fastpath_end_to_end(save_report):
     image = synthetic_mnist_image(seed=2)
     reference = net.infer_plain(image)
 
-    # Seed baseline: per-prime NTT loops, coefficient-domain Galois,
-    # no plaintext caching, per-digit KeySwitch lifts.
-    with fastpath.disabled():
-        ntt.TRANSFORM_STATS.reset()
-        start = time.perf_counter()
-        baseline_out = net.infer(ctx, image)
-        baseline_seconds = time.perf_counter() - start
-        baseline_stats = ntt.TRANSFORM_STATS.snapshot()
-
-    # Fast path: one warm-up populates the per-network plaintext cache
-    # (the steady state the caching fast path is designed for).  The timed
-    # figure is the best of five runs — the serving-relevant steady-state
-    # latency, insulated from transient host contention.
+    # One warm-up populates the per-network plaintext cache.
     net.infer(ctx, image)
-    ntt.TRANSFORM_STATS.reset()
-    start = time.perf_counter()
-    fast_out = net.infer(ctx, image)
-    fast_seconds = time.perf_counter() - start
-    fast_stats = ntt.TRANSFORM_STATS.snapshot()
-    for _ in range(4):
-        start = time.perf_counter()
-        net.infer(ctx, image)
-        fast_seconds = min(fast_seconds, time.perf_counter() - start)
+    with kernels.using_backend("reference"):
+        baseline_seconds, baseline_stats, baseline_out = _timed_inference(
+            net, ctx, image, runs=2
+        )
+    fast_seconds, fast_stats, fast_out = _timed_inference(
+        net, ctx, image, runs=5
+    )
 
     # One extra observed inference (outside both timed regions) yields the
     # per-op latency distribution for the benchmark record.
@@ -183,15 +201,15 @@ def test_bench_fastpath_end_to_end(save_report):
         "baseline": {
             "seconds": baseline_seconds,
             "transforms": baseline_stats,
-            "config": "all fast paths disabled (seed-equivalent)",
+            "kernel_backend": "reference",
+            "config": "per-prime reference transforms, same algorithms "
+                      "(warm cache, best of 2)",
         },
         "fastpath": {
             "seconds": fast_seconds,
             "transforms": fast_stats,
             "kernel_backend": kernels.active_backend().name,
-            "config": "batched_ntt + ntt_galois + plaintext_cache "
-                      "+ vectorized_keyswitch + hoisted_rotations "
-                      "(warm cache)",
+            "config": "production path (warm cache, best of 5)",
         },
         "speedup": speedup,
         "op_latency_ms": op_latency,
@@ -204,7 +222,7 @@ def test_bench_fastpath_end_to_end(save_report):
     )
     save_report(
         "bench_fhe",
-        f"FHE fast-path end-to-end: baseline {baseline_seconds:.1f}s -> "
+        f"FHE end-to-end: reference {baseline_seconds:.1f}s -> "
         f"{fast_seconds:.1f}s ({speedup:.2f}x), NTT rows "
         f"{baseline_stats['forward_rows'] + baseline_stats['inverse_rows']}"
         f" -> {fast_stats['forward_rows'] + fast_stats['inverse_rows']}",
@@ -213,14 +231,12 @@ def test_bench_fastpath_end_to_end(save_report):
     # Both paths decrypt to the plaintext reference.
     assert payload["baseline_max_err"] < 0.5
     assert payload["fastpath_max_err"] < 0.5
-    # Strictly fewer NTT invocations on the fast path...
-    assert (
-        fast_stats["forward_rows"] + fast_stats["inverse_rows"]
-        < baseline_stats["forward_rows"] + baseline_stats["inverse_rows"]
-    )
-    assert fast_stats["forward_calls"] < baseline_stats["forward_calls"]
-    # ... and the paper-level speedup target.
-    assert speedup >= 3.0
+    # Identical transform work on both backends (the reference counts one
+    # call per prime, so only rows compare)...
+    assert fast_stats["forward_rows"] == baseline_stats["forward_rows"]
+    assert fast_stats["inverse_rows"] == baseline_stats["inverse_rows"]
+    # ... and the production backend wins end to end.
+    assert speedup > 1.0
     # The observed pass produced a per-op latency distribution.
     assert "Rescale" in op_latency and "Rotate" in op_latency
     for stats in op_latency.values():
@@ -260,7 +276,6 @@ def test_bench_kernel_backend_matrix(save_report):
             "roundtrip_seconds": best,
             # forward + inverse each touch all L rows once.
             "rows_per_s": 2 * len(primes) / best,
-            "compiled": backend.describe()["compiled"],
         }
     ref_seconds = results["reference"]["roundtrip_seconds"]
     for stats in results.values():
@@ -296,9 +311,6 @@ def test_bench_kernel_backend_matrix(save_report):
     )
     # The default backend must actually earn its place.
     assert default_speedup > 1.0
-    # A pool dispatch can lose to inline numpy on small rings / few
-    # cores, but it must stay within an order of magnitude.
-    assert results["parallel"]["speedup_vs_reference"] > 0.1
 
 
 def test_bench_obs_overhead_disabled(bench_ctx, bench_ct):

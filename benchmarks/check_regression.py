@@ -13,7 +13,8 @@ dotted path into the JSON record, whether higher or lower is better, and
 a relative tolerance.  Virtual-time metrics (serve, cluster) are
 deterministic and get the default 15% gate; wall-clock FHE metrics jitter
 with the runner and get a lenient 40% gate — they exist to catch "the
-fast path stopped being fast", not 5% noise.  Boolean `_INVARIANTS`
+production kernel backend stopped beating the reference oracle", not 5%
+noise.  Boolean `_INVARIANTS`
 must stay true, and `_PINNED` fields (e.g. which kernel backend a
 wall-clock record was produced under) must match the baseline exactly.
 
@@ -47,6 +48,9 @@ NOISE_TOLERANCE = 0.05
 #: value rose).  List elements are addressed by index (``curve.0``); the
 #: extractor also accepts ``*`` to fan one spec out over a whole list.
 _METRICS: dict[str, tuple[tuple[str, str, float], ...]] = {
+    # ``speedup`` is end-to-end seconds of the ``reference`` backend over
+    # the default ``montgomery`` backend, measured in the same run on the
+    # same algorithms (identical transform work).
     "BENCH_fhe": (
         ("speedup", "higher", WALLCLOCK_TOLERANCE),
         ("fastpath.seconds", "lower", WALLCLOCK_TOLERANCE),

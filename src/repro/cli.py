@@ -27,6 +27,7 @@ never a raw traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -34,6 +35,7 @@ import numpy as np
 
 from .analysis import format_table
 from .core import FxHennFramework, design_to_json, pareto_frontier, solution_scatter
+from .fhe import kernels
 from .fpga import acu9eg, acu15eg, device_by_name
 from .hecnn import fxhenn_cifar10_model, fxhenn_mnist_model, tiny_mnist_model
 
@@ -64,17 +66,28 @@ def _select_kernel_backend(name: str | None) -> None:
     """Activate ``--kernel-backend`` before any FHE work happens.
 
     Layered on top of the ``REPRO_KERNEL_BACKEND`` environment variable
-    (the explicit CLI selection wins); an unknown name exits with the
-    available catalog instead of a traceback.
+    (the explicit CLI selection wins).  An unknown name — from the flag or,
+    without one, from the environment — exits with the available catalog
+    instead of a traceback from deep inside the first HE op.
     """
-    if not name:
-        return
-    from .fhe import kernels
-
     try:
-        kernels.set_backend(name)
+        if name:
+            kernels.set_backend(name)
+            return
+        env = os.environ.get(kernels.ENV_VAR, "").strip()
+        if env:
+            kernels.get_backend(env)
     except KeyError as exc:
-        raise SystemExit(exc.args[0]) from None
+        source = "--kernel-backend" if name else kernels.ENV_VAR
+        raise SystemExit(f"{source}: {exc.args[0]}") from None
+
+
+def _backend_help(extra: str = "") -> str:
+    """``--kernel-backend`` help text listing the registered backends."""
+    names = ", ".join(kernels.available_backends())
+    return (f"FHE kernel backend ({names}; default "
+            f"{kernels.DEFAULT_BACKEND}); overrides "
+            f"{kernels.ENV_VAR}{extra}")
 
 
 def cmd_devices(_args: argparse.Namespace) -> int:
@@ -410,7 +423,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         return _profile_diff(args)
 
     from . import obs
-    from .fhe import CkksContext, kernels
+    from .fhe import CkksContext
     from .fhe.ops import OperationRecorder
 
     _select_kernel_backend(args.kernel_backend)
@@ -518,7 +531,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     import json
 
     from . import obs
-    from .fhe import CkksContext, kernels
+    from .fhe import CkksContext
     from .fhe.noise import NoiseEstimator
 
     _select_kernel_backend(args.kernel_backend)
@@ -1290,9 +1303,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="mnist only: reduced N=2048 parameters")
     p_inf.add_argument("--seed", type=int, default=4)
     p_inf.add_argument("--kernel-backend", metavar="NAME",
-                       help="FHE kernel backend (reference, numpy-lazy, "
-                            "montgomery, parallel, ...); overrides "
-                            "REPRO_KERNEL_BACKEND")
+                       help=_backend_help())
 
     p_prof = sub.add_parser(
         "profile",
@@ -1312,10 +1323,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "analytic noise bits to form the headroom "
                              "column (default 8)")
     p_prof.add_argument("--kernel-backend", metavar="NAME",
-                        help="FHE kernel backend (reference, numpy-lazy, "
-                             "montgomery, parallel, ...); overrides "
-                             "REPRO_KERNEL_BACKEND; reported in the "
-                             "profile output")
+                        help=_backend_help("; reported in the profile "
+                                           "output"))
     p_prof.add_argument("--diff", nargs=2, metavar=("OLD.json", "NEW.json"),
                         help="compare two saved '--format json' profiles "
                              "instead of running an inference: per-layer "
@@ -1354,10 +1363,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the lineage DAG (Graphviz DOT) to "
                              "this file")
     p_expl.add_argument("--kernel-backend", metavar="NAME",
-                        help="FHE kernel backend (reference, numpy-lazy, "
-                             "montgomery, parallel, ...); overrides "
-                             "REPRO_KERNEL_BACKEND; recorded per op in "
-                             "the lineage DAG")
+                        help=_backend_help("; recorded per op in the "
+                                           "lineage DAG"))
 
     p_serve = sub.add_parser(
         "serve", help="simulate a slot-batched serving session"

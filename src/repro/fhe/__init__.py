@@ -12,11 +12,10 @@ select with ``REPRO_KERNEL_BACKEND`` or ``kernels.set_backend``; see
 ``docs/kernels.md``.
 """
 
-from . import fastpath, kernels
+from . import kernels
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext
 from .encoder import CkksEncoder
-from .fastpath import FastPathConfig
 from .kernels import KernelBackend
 from .keys import GaloisKeys, KeyGenerator, KeySwitchKey, PublicKey, SecretKey
 from .modmath import (
@@ -46,10 +45,8 @@ from .noise import (
     publish_noise_budget,
 )
 from .ntt import (
-    TRANSFORM_STATS,
     BatchedNttContext,
     NttContext,
-    TransformStats,
     clear_caches,
     get_batched_ntt_context,
     get_ntt_context,
@@ -86,7 +83,6 @@ __all__ = [
     "CkksEncoder",
     "CkksParameters",
     "Evaluator",
-    "FastPathConfig",
     "GaloisKeys",
     "KernelBackend",
     "KeyGenerator",
@@ -95,8 +91,6 @@ __all__ = [
     "NoiseEstimator",
     "NttContext",
     "OperationRecorder",
-    "TRANSFORM_STATS",
-    "TransformStats",
     "Plaintext",
     "PublicKey",
     "RnsBasis",
@@ -118,7 +112,6 @@ __all__ = [
     "batched_mod_sub",
     "build_prime_chain",
     "clear_caches",
-    "fastpath",
     "get_batched_ntt_context",
     "kernels",
     "registry_info",

@@ -3,19 +3,15 @@
 Every low-level ring kernel the HE operations consume — batched NTT
 forward/inverse, negacyclic multiply, Galois application, batched modular
 arithmetic — is dispatched through a process-global *active backend*
-selected here.  Registered backends (availability permitting):
+selected here.  Two backends are registered:
 
 * ``reference``    — per-prime fully-reduced transforms (the oracle).
-* ``numpy-lazy``   — stacked Harvey-lazy/Shoup fast path (previous default).
-* ``montgomery``   — Montgomery/relaxed-lazy transforms (default; fastest
-  pure-numpy path).
-* ``parallel``     — Montgomery kernels sharded over a process pool.
-* ``numba``        — JIT-compiled scalar butterflies; registered only when
-  :mod:`numba` is importable.
+* ``montgomery``   — Montgomery/relaxed-lazy stacked transforms (the
+  default and the production path).
 
-Selection precedence mirrors the fastpath toggles: an explicit
-:func:`set_backend` / :func:`using_backend` call wins, then the
-``REPRO_KERNEL_BACKEND`` environment variable, then the built-in default.
+Selection precedence: an explicit :func:`set_backend` /
+:func:`using_backend` call wins, then the ``REPRO_KERNEL_BACKEND``
+environment variable, then the built-in default.
 CLI entry points layer ``--kernel-backend`` on top by calling
 :func:`set_backend` before any FHE work.
 
@@ -35,10 +31,7 @@ from typing import Iterator
 
 from .base import KernelBackend
 from .montgomery import MontgomeryBackend, MontgomeryPlan
-from .numpy_lazy import NumpyLazyBackend
-from .parallel import ParallelBackend
 from .reference import ReferenceBackend
-from . import numba_backend as _numba_backend
 
 __all__ = [
     "ENV_VAR",
@@ -46,8 +39,6 @@ __all__ = [
     "KernelBackend",
     "MontgomeryBackend",
     "MontgomeryPlan",
-    "NumpyLazyBackend",
-    "ParallelBackend",
     "ReferenceBackend",
     "active_backend",
     "available_backends",
@@ -125,7 +116,7 @@ def active_backend() -> KernelBackend:
 @contextmanager
 def using_backend(name: str) -> Iterator[KernelBackend]:
     """Temporarily select ``name`` as the active backend (process-global,
-    like ``fastpath.overridden`` — not thread-isolated)."""
+    not thread-isolated)."""
     backend = get_backend(name)
     global _explicit
     with _lock:
@@ -153,13 +144,5 @@ def plans_info() -> dict[str, list[tuple]]:
     return {name: keys for name, b in backends if (keys := b.plan_keys())}
 
 
-for _backend in (
-    ReferenceBackend(),
-    NumpyLazyBackend(),
-    MontgomeryBackend(),
-    ParallelBackend(),
-):
-    register_backend(_backend)
-if _numba_backend.is_available():  # pragma: no cover - numba not in CI base
-    register_backend(_numba_backend.NumbaBackend())
-del _backend
+register_backend(ReferenceBackend())
+register_backend(MontgomeryBackend())

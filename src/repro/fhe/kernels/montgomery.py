@@ -1,8 +1,7 @@
 """Montgomery-domain batched NTT backend.
 
-The numpy-lazy fast path (:class:`~repro.fhe.ntt.BatchedNttContext`) spends
-most of its time in per-stage numpy passes, and two structural costs
-dominate on top of the raw arithmetic:
+A stacked Harvey-lazy/Shoup NTT spends most of its time in per-stage numpy
+passes, and two structural costs dominate on top of the raw arithmetic:
 
 * broadcast operands (``(1, L, 1, 1)`` modulus columns, strided twiddle
   views) make the uint64 inner loops ~2.5x slower than scalar-constant
@@ -394,10 +393,7 @@ def _exit_reduce(x: np.ndarray, mu, q) -> None:
 
 
 def plan_forward(
-    plan: MontgomeryPlan,
-    flat: np.ndarray,
-    mode: str | None = None,
-    lazy: bool = False,
+    plan: MontgomeryPlan, flat: np.ndarray, lazy: bool = False
 ) -> np.ndarray:
     """Forward NTT of a ``(rows, L, N)`` uint64 working copy (mutated).
 
@@ -407,11 +403,7 @@ def plan_forward(
     product accepts.  Only callers that feed the result into a deferred
     Barrett reduction may use it.
     """
-    rows = flat.shape[0]
-    if mode is None:
-        wide = rows * plan.level > NARROW_MAX_R_FORWARD
-    else:
-        wide = mode == "wide"
+    wide = flat.shape[0] * plan.level > NARROW_MAX_R_FORWARD
     s1 = np.empty(flat.size // 2, dtype=_U64)
     s2 = np.empty(flat.size // 2, dtype=_U64)
     if wide:
@@ -419,15 +411,9 @@ def plan_forward(
     return _forward_narrow(plan, flat, s1, s2, lazy)
 
 
-def plan_inverse(
-    plan: MontgomeryPlan, flat: np.ndarray, mode: str | None = None
-) -> np.ndarray:
+def plan_inverse(plan: MontgomeryPlan, flat: np.ndarray) -> np.ndarray:
     """Inverse NTT of a ``(rows, L, N)`` uint64 working copy (mutated)."""
-    rows = flat.shape[0]
-    if mode is None:
-        wide = rows * plan.level > NARROW_MAX_R_INVERSE
-    else:
-        wide = mode == "wide"
+    wide = flat.shape[0] * plan.level > NARROW_MAX_R_INVERSE
     s1 = np.empty(flat.size // 2, dtype=_U64)
     s2 = np.empty(flat.size // 2, dtype=_U64)
     if wide:

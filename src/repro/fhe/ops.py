@@ -9,6 +9,24 @@ The evaluator optionally records every operation it executes into an
 :class:`OperationRecorder`; the HE-CNN layers use this to validate their
 *analytic* operation traces (the input to the performance model) against the
 operations actually performed on ciphertexts.
+
+The KeySwitch core is vectorized: all decomposition digits are lifted into
+the extended basis and forward-transformed in one batched kernel call, and
+the inner product with the stacked key is one lazy Shoup multiply plus one
+deferred Barrett reduction per key half.  It is bit-identical to the
+per-digit lift-and-accumulate formulation (pinned bit for bit by the
+property tests).  Two algorithm-level choices sit on top:
+
+* :meth:`Evaluator.encode_cached` encodes and forward-transforms each
+  weight/bias/mask plaintext once per ``(cache_key, level, scale)`` and
+  keeps it on the :class:`~repro.fhe.context.CkksContext`, instead of once
+  per window per inference;
+* :meth:`Evaluator.rotate_fold` runs rotate-and-sum folds as Halevi-Shoup
+  hoisted groups: one digit decomposition / lift / forward NTT / rescale
+  shared by all subset-sum rotations of a group.  A hoisted group shares
+  one rescale, so its rounding differs from the sequential
+  ``add(acc, rotate(acc, s))`` walk — numerically equivalent within the
+  CKKS noise budget, but not bit-identical to it.
 """
 
 from __future__ import annotations
@@ -23,7 +41,7 @@ from ..obs import config as obs_config
 from ..obs import lineage, probes
 from ..obs.tracing import trace_span
 from ..optypes import HeOp
-from . import fastpath, kernels
+from . import kernels
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext
 from .modmath import (
@@ -337,8 +355,8 @@ class Evaluator:
         """Encode a slot vector, memoizing the NTT-domain plaintext.
 
         ``values`` may be an array or a zero-argument callable (evaluated
-        only on a cache miss).  Without ``cache_key`` — or with the
-        ``plaintext_cache`` fast path disabled — this is a plain encode.
+        only on a cache miss).  Without ``cache_key`` this is a plain
+        encode.
 
         Correctness of the memoization rests on the cache key carrying the
         *exact* ``(level, scale)`` pair: after a Rescale the same weight
@@ -353,9 +371,7 @@ class Evaluator:
         if level is None:
             level = self.context.params.level
         cache = self.context.plaintext_cache
-        use_cache = (
-            cache_key is not None and fastpath.get_config().plaintext_cache
-        )
+        use_cache = cache_key is not None
         full_key = (cache_key, level, scale)
         if use_cache:
             hit = cache.get(full_key)
@@ -409,23 +425,20 @@ class Evaluator:
         ``(2**k - 1) / k``, which makes ``k = 3`` the sweet spot on this
         substrate.
 
-        Falls back to the plain rotate/add sequence when either the
-        ``hoisted_rotations`` or ``vectorized_keyswitch`` fast path is off
-        (keeping the bit-exact sequential baseline intact — a hoisted group
-        shares one rescale, so its rounding differs from the sequential
-        walk) or when a composite Galois key was not provisioned.  Recorded
+        Falls back to the plain rotate/add sequence for non-linear input,
+        when a composite Galois key was not provisioned, or when a subset
+        sum degenerates to a zero rotation.  A hoisted group shares one
+        rescale, so its rounding differs from the sequential walk.  Recorded
         operation counts are the *logical* ones — ``k`` KeySwitch and ``k``
         CCadd per group — so analytic layer traces and the FPGA cost model
         are unaffected by the execution strategy.
         """
         slots = self.context.slot_count
         seq = [s % slots for s in steps]
-        cfg = fastpath.get_config()
-        hoist = cfg.vectorized_keyswitch and cfg.hoisted_rotations
         acc = ct
         i = 0
         while i < len(seq):
-            if hoist and acc.is_linear:
+            if acc.is_linear:
                 grouped = False
                 for size in range(min(_FOLD_GROUP, len(seq) - i), 1, -1):
                     group = seq[i : i + size]
@@ -590,39 +603,25 @@ def _key_switch(
             f"key generated for level {key.level}, ciphertext at {basis.level}"
         )
     ext = key.basis
-    if fastpath.get_config().vectorized_keyswitch:
-        # Lift every decomposition digit into the extended basis at once
-        # ((L, ext_L, N) signed mod) and run all forward NTTs in a single
-        # batched call (minus the spliced diagonal — see _lift_digits_ntt);
-        # the inner product with the stacked key follows as one multiply +
-        # one lazy sum + one Barrett pass per key half.
-        ext_ctx = get_batched_ntt_context(ext.n, ext.primes)
-        lifted_ntt = _lift_digits_ntt(component, ext, ext_ctx)  # (L, ext_L, N)
-        # Inner product against the fixed key rows via division-free lazy
-        # Shoup multiplies: each term lands in [0, 2q), summing L <= 8 of
-        # them stays far below the Barrett input bound, so one deferred
-        # reduction per key half suffices.  Broadcasting the digits over the
-        # stacked (b, a) pair covers both key halves in a single call.
-        qs_u64 = ext_ctx.qs_full  # (ext_L, N) contiguous tile
-        prod = shoup_mul_lazy(
-            lifted_ntt[None], key.stacked_ba, key.stacked_ba_shoup, qs_u64
-        )
-        red = _reduce_ext(prod.sum(axis=1), ext_ctx)  # (2, ext_L, N)
-        acc0 = RnsPolynomial(ext, red[0], is_ntt=True)
-        acc1 = RnsPolynomial(ext, red[1], is_ntt=True)
-    else:
-        d = component.to_coefficient()
-        acc0 = RnsPolynomial.zero(ext, is_ntt=True)
-        acc1 = RnsPolynomial.zero(ext, is_ntt=True)
-        for i, q_i in enumerate(basis.primes):
-            row = d.residues[i].astype(np.int64)
-            signed = np.where(row > q_i // 2, row - q_i, row)
-            rows = np.empty((ext.level, ext.n), dtype=np.uint64)
-            for j, q_j in enumerate(ext.primes):
-                rows[j] = np.mod(signed, np.int64(q_j)).astype(np.uint64)
-            lifted = RnsPolynomial(ext, rows, is_ntt=False).to_ntt()
-            acc0 = acc0 + lifted * key.b[i]
-            acc1 = acc1 + lifted * key.a[i]
+    # Lift every decomposition digit into the extended basis at once
+    # ((L, ext_L, N) signed mod) and run all forward NTTs in a single
+    # batched call (minus the spliced diagonal — see _lift_digits_ntt);
+    # the inner product with the stacked key follows as one multiply +
+    # one lazy sum + one Barrett pass per key half.
+    ext_ctx = get_batched_ntt_context(ext.n, ext.primes)
+    lifted_ntt = _lift_digits_ntt(component, ext, ext_ctx)  # (L, ext_L, N)
+    # Inner product against the fixed key rows via division-free lazy
+    # Shoup multiplies: each term lands in [0, 2q), summing L <= 8 of
+    # them stays far below the Barrett input bound, so one deferred
+    # reduction per key half suffices.  Broadcasting the digits over the
+    # stacked (b, a) pair covers both key halves in a single call.
+    qs_u64 = ext_ctx.qs_full  # (ext_L, N) contiguous tile
+    prod = shoup_mul_lazy(
+        lifted_ntt[None], key.stacked_ba, key.stacked_ba_shoup, qs_u64
+    )
+    red = _reduce_ext(prod.sum(axis=1), ext_ctx)  # (2, ext_L, N)
+    acc0 = RnsPolynomial(ext, red[0], is_ntt=True)
+    acc1 = RnsPolynomial(ext, red[1], is_ntt=True)
     # Divide by the special prime (last in the extended basis); both halves
     # share one stacked rescale.
     out0, out1 = rescale_polys((acc0, acc1))

@@ -9,6 +9,15 @@ parameter ``P_intra`` exploits (Sec. V-B, Fig. 4).
 :class:`RnsPolynomial` is an immutable-by-convention value type; arithmetic
 returns new objects.  Polynomials track whether they are in coefficient or
 NTT (evaluation) domain; multiplication requires the NTT domain.
+
+Every transform runs through the active kernel backend
+(:func:`repro.fhe.kernels.active_backend`), all L RNS rows in one stacked
+call.  NTT-resident polynomials stay in the evaluation domain through
+Rescale (only the dropped row is inverse-transformed, see
+:func:`rescale_polys`) and the Galois automorphism (a pure permutation of
+evaluation points); the coefficient-domain code paths serve
+coefficient-domain inputs and are the oracles those NTT-resident paths are
+tested against.
 """
 
 from __future__ import annotations
@@ -18,14 +27,14 @@ from typing import Sequence
 
 import numpy as np
 
-from . import fastpath, kernels
+from . import kernels
 from .modmath import (
     BarrettConstant,
     centered_lift,
     centered_lift_fits,
     mod_inverse,
 )
-from .ntt import get_batched_ntt_context, get_ntt_context
+from .ntt import get_batched_ntt_context
 
 _U64 = np.uint64
 
@@ -147,32 +156,17 @@ class RnsPolynomial:
     def to_ntt(self) -> "RnsPolynomial":
         if self.is_ntt:
             return self
-        if fastpath.get_config().batched_ntt:
-            rows = kernels.active_backend().forward(
-                self.basis.n, self.basis.primes, self.residues
-            )
-        else:
-            # fastpath.batched_ntt=False pins the seed per-prime reference
-            # path regardless of the active kernel backend (the baseline
-            # every speedup is measured against).
-            rows = np.empty_like(self.residues)
-            for i, q in enumerate(self.basis.primes):
-                ctx = get_ntt_context(self.basis.n, q)
-                rows[i] = ctx.forward(self.residues[i])
+        rows = kernels.active_backend().forward(
+            self.basis.n, self.basis.primes, self.residues
+        )
         return RnsPolynomial(self.basis, rows, is_ntt=True)
 
     def to_coefficient(self) -> "RnsPolynomial":
         if not self.is_ntt:
             return self
-        if fastpath.get_config().batched_ntt:
-            rows = kernels.active_backend().inverse(
-                self.basis.n, self.basis.primes, self.residues
-            )
-        else:
-            rows = np.empty_like(self.residues)
-            for i, q in enumerate(self.basis.primes):
-                ctx = get_ntt_context(self.basis.n, q)
-                rows[i] = ctx.inverse(self.residues[i])
+        rows = kernels.active_backend().inverse(
+            self.basis.n, self.basis.primes, self.residues
+        )
         return RnsPolynomial(self.basis, rows, is_ntt=False)
 
     # -- arithmetic -----------------------------------------------------------
@@ -235,44 +229,40 @@ class RnsPolynomial:
         """Exact RNS rescale: divide by the last prime and drop it.
 
         Implements the standard RNS-CKKS Rescale (paper Sec. II-A): for each
-        remaining prime ``q_i``, ``c'_i = (c_i - c_last) * q_last^-1 mod q_i``
-        computed in the coefficient domain, then returned in the original
-        domain.
+        remaining prime ``q_i``, ``c'_i = (c_i - c_last) * q_last^-1 mod q_i``.
+        The result stays in the input's domain.
         """
         if self.basis.level <= 1:
             raise ValueError("cannot rescale a level-1 polynomial")
-        new_basis = self.basis.drop_last()
-        q_last = self.basis.primes[-1]
-        new_ctx = new_basis.ntt()
-        if self.is_ntt and fastpath.get_config().batched_ntt:
+        if self.is_ntt:
             # NTT-resident rescale: only the dropped row ever leaves the
             # evaluation domain — see :func:`rescale_polys` for the shared
             # single-component implementation.
             return rescale_polys((self,))[0]
-        was_ntt = self.is_ntt
-        coeff = self.to_coefficient()
-        last_row = coeff.residues[-1]
+        new_basis = self.basis.drop_last()
+        q_last = self.basis.primes[-1]
+        last_row = self.residues[-1]
         # Centered lift of the last row so the rounding error stays small;
         # all remaining primes are handled in one stacked call.
         half = q_last // 2
         signed = last_row.astype(np.int64)
         signed = np.where(last_row > half, signed - np.int64(q_last), signed)
         lifted = np.mod(
-            signed[None, :], new_ctx.qs.astype(np.int64)
+            signed[None, :], new_basis.ntt().qs.astype(np.int64)
         ).astype(_U64)
         backend = kernels.active_backend()
         diff = backend.modsub(
-            new_basis.n, new_basis.primes, coeff.residues[:-1], lifted
+            new_basis.n, new_basis.primes, self.residues[:-1], lifted
         )
         inv = self.basis.ntt().rescale_inverses()
         rows = backend.modmul(new_basis.n, new_basis.primes, diff, inv)
-        out = RnsPolynomial(new_basis, rows, is_ntt=False)
-        return out.to_ntt() if was_ntt else out
+        return RnsPolynomial(new_basis, rows, is_ntt=False)
 
     # -- automorphisms ---------------------------------------------------------
 
     def galois_transform(self, galois_element: int) -> "RnsPolynomial":
-        """Apply the ring automorphism ``X -> X^g`` (coefficient domain).
+        """Apply the ring automorphism ``X -> X^g``, staying in the input's
+        domain.
 
         This is the algebraic core of the Rotate operation: sending slot
         contents around requires mapping ``a(X)`` to ``a(X^g)`` for
@@ -282,24 +272,21 @@ class RnsPolynomial:
         g = galois_element % (2 * n)
         if g % 2 == 0:
             raise ValueError("Galois element must be odd")
-        if self.is_ntt and fastpath.get_config().ntt_galois:
+        if self.is_ntt:
             # In the NTT domain the automorphism is a pure permutation of
             # evaluation points — no inverse/forward round trip needed.
             rows = kernels.active_backend().apply_galois(
                 n, self.basis.primes, self.residues, g
             )
             return RnsPolynomial(self.basis, rows, is_ntt=True)
-        was_ntt = self.is_ntt
-        coeff = self.to_coefficient()
         idx = (np.arange(n, dtype=np.int64) * g) % (2 * n)
         target = np.where(idx < n, idx, idx - n)
         negate = idx >= n
-        vals = coeff.residues
+        vals = self.residues
         negated = kernels.active_backend().modneg(n, self.basis.primes, vals)
         rows = np.empty_like(vals)
         rows[:, target] = np.where(negate[None, :], negated, vals)
-        out_poly = RnsPolynomial(self.basis, rows, is_ntt=False)
-        return out_poly.to_ntt() if was_ntt else out_poly
+        return RnsPolynomial(self.basis, rows, is_ntt=False)
 
     # -- reconstruction ---------------------------------------------------------
 
@@ -335,16 +322,13 @@ def rescale_polys(polys: tuple["RnsPolynomial", ...]) -> tuple["RnsPolynomial", 
     every output bit — is unchanged.
 
     Falls back to per-polynomial :meth:`RnsPolynomial.rescale` whenever the
-    stacked fast path does not apply (coefficient-domain inputs, mixed
-    bases, or ``fastpath.batched_ntt`` disabled).
+    stacked path does not apply (coefficient-domain inputs or mixed bases).
     """
     if not polys:
         return ()
     basis = polys[0].basis
-    stackable = (
-        fastpath.get_config().batched_ntt
-        and basis.level > 1
-        and all(p.is_ntt and p.basis == basis for p in polys)
+    stackable = basis.level > 1 and all(
+        p.is_ntt and p.basis == basis for p in polys
     )
     if not stackable:
         return tuple(p.rescale() for p in polys)

@@ -1,11 +1,10 @@
 """The observability master switch.
 
-Mirrors :mod:`repro.fhe.fastpath`: one module-level flag, flipped either
-globally (:func:`enable` / :func:`disable` / :func:`set_enabled`) or for a
-scope (:func:`observed`).  The flag gates everything *expensive* — span
-timing, histograms, gauges; plain counters (e.g. the NTT transform counter
-behind ``TRANSFORM_STATS``) stay live regardless because they are a few
-integer adds per kernel call and pre-date this subsystem.
+One module-level flag, flipped either globally (:func:`enable` /
+:func:`disable` / :func:`set_enabled`) or for a scope (:func:`observed`).
+The flag gates everything *expensive* — span timing, histograms, gauges;
+plain counters (e.g. the ``ntt_transform_rows`` NTT transform counters)
+stay live regardless because they are a few integer adds per kernel call.
 
 All transitions go through a lock so concurrent flips (the parallel DSE
 worker path forks process state) cannot interleave a read-modify-write.

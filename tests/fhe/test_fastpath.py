@@ -1,9 +1,11 @@
-"""Property tests: every kernel fast path is bit-identical to its oracle.
+"""Property tests: the production FHE path is bit-identical to its oracles.
 
-The fast paths (batched lazy-reduction NTT, NTT-domain Galois, plaintext
-caching, vectorized KeySwitch) are pure performance work — these tests pin
-them, bit for bit, to the per-prime reference implementations and to the
-schoolbook negacyclic convolution.  No tolerances anywhere.
+The production path (stacked Montgomery NTT over all RNS rows, NTT-resident
+Galois and Rescale, plaintext caching, vectorized KeySwitch) is pure
+performance work — these tests pin it, bit for bit, to the per-prime
+reference transforms, the schoolbook negacyclic convolution, the
+coefficient-domain Galois/Rescale route and a per-digit KeySwitch.  No
+tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -13,14 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fhe import CkksContext, Evaluator, fastpath, tiny_test_params
+from repro.fhe import CkksContext, Evaluator, kernels, ops, tiny_test_params
 from repro.fhe.modmath import generate_ntt_primes
-from repro.fhe.ntt import (
-    get_batched_ntt_context,
-    get_ntt_context,
-    negacyclic_convolution_reference,
-)
-from repro.fhe.poly import RnsBasis, RnsPolynomial
+from repro.fhe.ntt import get_ntt_context, negacyclic_convolution_reference
+from repro.fhe.poly import RnsBasis, RnsPolynomial, rescale_polys
+
+#: The stacked production transform under test.
+BATCHED = kernels.get_backend("montgomery")
 
 
 def _primes(n: int, count: int = 3, bits: int = 24) -> tuple[int, ...]:
@@ -35,12 +36,11 @@ def _primes(n: int, count: int = 3, bits: int = 24) -> tuple[int, ...]:
 def test_batched_forward_matches_per_row(seed):
     n = 64
     primes = _primes(n)
-    batched = get_batched_ntt_context(n, primes)
     rng = np.random.default_rng(seed)
     rows = np.stack(
         [rng.integers(0, q, n, dtype=np.int64).astype(np.uint64) for q in primes]
     )
-    got = batched.forward(rows)
+    got = BATCHED.forward(n, primes, rows)
     expected = np.stack(
         [get_ntt_context(n, q).forward(rows[i]) for i, q in enumerate(primes)]
     )
@@ -52,12 +52,11 @@ def test_batched_forward_matches_per_row(seed):
 def test_batched_inverse_matches_per_row(seed):
     n = 64
     primes = _primes(n)
-    batched = get_batched_ntt_context(n, primes)
     rng = np.random.default_rng(seed)
     rows = np.stack(
         [rng.integers(0, q, n, dtype=np.int64).astype(np.uint64) for q in primes]
     )
-    got = batched.inverse(rows)
+    got = BATCHED.inverse(n, primes, rows)
     expected = np.stack(
         [get_ntt_context(n, q).inverse(rows[i]) for i, q in enumerate(primes)]
     )
@@ -70,7 +69,6 @@ def test_batched_roundtrip_3d(seed):
     """(B, L, N) stacks transform per matrix exactly like (L, N) slices."""
     n = 32
     primes = _primes(n)
-    batched = get_batched_ntt_context(n, primes)
     rng = np.random.default_rng(seed)
     stack = np.stack(
         [
@@ -83,26 +81,25 @@ def test_batched_roundtrip_3d(seed):
             for _ in range(4)
         ]
     )
-    fwd = batched.forward(stack)
+    fwd = BATCHED.forward(n, primes, stack)
     for b in range(4):
-        assert np.array_equal(fwd[b], batched.forward(stack[b]))
-    assert np.array_equal(batched.inverse(fwd), stack)
+        assert np.array_equal(fwd[b], BATCHED.forward(n, primes, stack[b]))
+    assert np.array_equal(BATCHED.inverse(n, primes, fwd), stack)
 
 
 @pytest.mark.parametrize("n", [16, 256, 2048])
 def test_batched_matches_per_row_across_sizes(n):
     primes = _primes(n, count=4, bits=28)
-    batched = get_batched_ntt_context(n, primes)
     rng = np.random.default_rng(n)
     rows = np.stack(
         [rng.integers(0, q, n, dtype=np.int64).astype(np.uint64) for q in primes]
     )
-    got = batched.forward(rows)
+    got = BATCHED.forward(n, primes, rows)
     expected = np.stack(
         [get_ntt_context(n, q).forward(rows[i]) for i, q in enumerate(primes)]
     )
     assert np.array_equal(got, expected)
-    assert np.array_equal(batched.inverse(got), rows)
+    assert np.array_equal(BATCHED.inverse(n, primes, got), rows)
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
@@ -146,11 +143,9 @@ def test_ntt_galois_matches_coefficient_path(seed, step):
     )
     poly = RnsPolynomial(basis, rows, is_ntt=False).to_ntt()
     g = pow(5, step, 2 * n)
-    with fastpath.overridden(ntt_galois=True):
-        fast = poly.galois_transform(g)
-    with fastpath.overridden(ntt_galois=False):
-        slow = poly.galois_transform(g)
-    assert fast.is_ntt and slow.is_ntt
+    fast = poly.galois_transform(g)
+    slow = poly.to_coefficient().galois_transform(g).to_ntt()
+    assert fast.is_ntt
     assert np.array_equal(fast.residues, slow.residues)
 
 
@@ -164,10 +159,8 @@ def test_conjugation_galois_matches():
     )
     poly = RnsPolynomial(basis, rows, is_ntt=False).to_ntt()
     g = 2 * n - 1
-    with fastpath.overridden(ntt_galois=True):
-        fast = poly.galois_transform(g)
-    with fastpath.overridden(ntt_galois=False):
-        slow = poly.galois_transform(g)
+    fast = poly.galois_transform(g)
+    slow = poly.to_coefficient().galois_transform(g).to_ntt()
     assert np.array_equal(fast.residues, slow.residues)
 
 
@@ -192,24 +185,44 @@ def _residues(ciphertext):
     return [c.to_ntt().residues.copy() for c in ciphertext.components]
 
 
+def _key_switch_per_digit(component, key):
+    """Per-digit hybrid key switch: lift and forward-transform one
+    decomposition digit at a time and accumulate its key products — the
+    formulation ``ops._key_switch`` vectorizes, kept as its oracle."""
+    basis = component.basis
+    ext = key.basis
+    d = component.to_coefficient()
+    acc0 = RnsPolynomial.zero(ext, is_ntt=True)
+    acc1 = RnsPolynomial.zero(ext, is_ntt=True)
+    for i, q_i in enumerate(basis.primes):
+        row = d.residues[i].astype(np.int64)
+        signed = np.where(row > q_i // 2, row - q_i, row)
+        rows = np.empty((ext.level, ext.n), dtype=np.uint64)
+        for j, q_j in enumerate(ext.primes):
+            rows[j] = np.mod(signed, np.int64(q_j)).astype(np.uint64)
+        lifted = RnsPolynomial(ext, rows, is_ntt=False).to_ntt()
+        acc0 = acc0 + lifted * key.b[i]
+        acc1 = acc1 + lifted * key.a[i]
+    out0, out1 = rescale_polys((acc0, acc1))
+    return out0, out1
+
+
 @pytest.mark.parametrize("step", [1, 2])
-def test_vectorized_keyswitch_matches_legacy(ctx, ct, step):
+def test_vectorized_keyswitch_matches_legacy(ctx, ct, step, monkeypatch):
     ev = Evaluator(ctx)
-    with fastpath.overridden(vectorized_keyswitch=True):
-        fast = ev.rotate(ct, step)
-    with fastpath.overridden(vectorized_keyswitch=False):
-        slow = ev.rotate(ct, step)
+    fast = ev.rotate(ct, step)
+    monkeypatch.setattr(ops, "_key_switch", _key_switch_per_digit)
+    slow = ev.rotate(ct, step)
     for f, s in zip(_residues(fast), _residues(slow)):
         assert np.array_equal(f, s)
 
 
-def test_relinearize_matches_legacy(ctx, ct):
+def test_relinearize_matches_legacy(ctx, ct, monkeypatch):
     ev = Evaluator(ctx)
     sq = ev.square(ct)
-    with fastpath.overridden(vectorized_keyswitch=True):
-        fast = ev.relinearize(sq)
-    with fastpath.overridden(vectorized_keyswitch=False):
-        slow = ev.relinearize(sq)
+    fast = ev.relinearize(sq)
+    monkeypatch.setattr(ops, "_key_switch", _key_switch_per_digit)
+    slow = ev.relinearize(sq)
     for f, s in zip(_residues(fast), _residues(slow)):
         assert np.array_equal(f, s)
 
@@ -217,11 +230,14 @@ def test_relinearize_matches_legacy(ctx, ct):
 def test_fastpath_rescale_matches_coefficient_rescale(ctx, ct):
     ev = Evaluator(ctx)
     prod = ev.multiply_plain(ct, ctx.encode(np.ones(ctx.slot_count)))
-    with fastpath.overridden(batched_ntt=True):
-        fast = ev.rescale(prod)
-    with fastpath.overridden(batched_ntt=False):
-        slow = ev.rescale(prod)
-    for f, s in zip(_residues(fast), _residues(slow)):
+    assert all(c.is_ntt for c in prod.components)
+    fast = ev.rescale(prod)
+    slow = [
+        c.to_coefficient().rescale().to_ntt().residues
+        for c in prod.components
+    ]
+    assert all(c.is_ntt for c in fast.components)
+    for f, s in zip(_residues(fast), slow):
         assert np.array_equal(f, s)
 
 
@@ -243,27 +259,6 @@ def test_encode_cached_returns_identical_plaintext(ctx):
     assert np.array_equal(first.poly.residues, plain.poly.to_ntt().residues)
     ctx.clear_plaintext_cache()
     assert len(ctx.plaintext_cache) == 0
-
-
-def test_encode_cached_respects_disabled_flag(ctx):
-    ev = Evaluator(ctx)
-    values = np.ones(ctx.slot_count)
-    ctx.clear_plaintext_cache()
-    with fastpath.overridden(plaintext_cache=False):
-        ev.encode_cached(values, level=3, scale=ctx.scale, cache_key="k2")
-    assert len(ctx.plaintext_cache) == 0
-
-
-def test_fastpath_config_toggles():
-    assert fastpath.get_config().batched_ntt
-    with fastpath.disabled() as cfg:
-        assert not any(
-            (cfg.batched_ntt, cfg.ntt_galois, cfg.plaintext_cache,
-             cfg.vectorized_keyswitch)
-        )
-    with fastpath.overridden(ntt_galois=False) as cfg:
-        assert cfg.batched_ntt and not cfg.ntt_galois
-    assert fastpath.get_config().ntt_galois
 
 
 def test_encode_cached_bit_identity_across_rescale_boundary(ctx):

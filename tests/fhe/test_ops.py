@@ -153,7 +153,6 @@ def test_rotate_and_sum_rejects_non_power_of_two(ctx, evaluator):
 
 
 def test_rotate_fold_hoisted_matches_sequential(ctx, evaluator):
-    from repro.fhe import fastpath
     from repro.fhe.ops import fold_composite_steps
 
     steps = [4, 2, 1]
@@ -163,8 +162,9 @@ def test_rotate_fold_hoisted_matches_sequential(ctx, evaluator):
     a = _vals(ctx, 40)
     ct = ctx.encrypt_values(a)
     hoisted = evaluator.rotate_fold(ct, steps)
-    with fastpath.overridden(hoisted_rotations=False):
-        sequential = evaluator.rotate_fold(ct, steps)
+    sequential = ct
+    for s in steps:
+        sequential = evaluator.add(sequential, evaluator.rotate(sequential, s))
     expected = a.copy()
     for s in steps:
         expected = expected + np.roll(expected, -s)

@@ -1,24 +1,28 @@
-"""End-to-end regression: the fast paths leave encrypted inference bit-exact.
+"""End-to-end regression: the production path leaves encrypted inference
+bit-exact.
 
-Encrypts once, then runs the same ciphertexts through the network with the
-kernel fast paths enabled and all disabled: the output ciphertexts must
-match bit for bit (the server side is deterministic), both must decrypt to
-the plaintext reference, and the transform counter must show the fast path
-performing strictly fewer NTT row-transforms.
+Encrypts once, then runs the same ciphertexts through the network on the
+default kernel backend and on the per-prime ``reference`` oracle: the
+output ciphertexts must match bit for bit (the server side is
+deterministic and both backends run the same algorithms, so they also
+perform the same NTT row-transforms), and the result must decrypt to the
+plaintext reference.  The warm plaintext cache must save transforms
+against a cold run.
 
-``hoisted_rotations`` is the one *algorithm-level* fast path — a hoisted
-fold group shares a single rescale, so its rounding order differs from the
-sequential walk.  It is therefore excluded from the bit-identity run and
-regression-tested separately for numerical equivalence and a further
-transform-row reduction.
+Hoisted rotate-folds are the one *algorithm-level* choice — a hoisted fold
+group shares a single rescale, so its rounding order differs from the
+sequential walk.  They are regression-tested against a context provisioned
+without composite Galois keys, which is the sequential fallback path, for
+numerical equivalence and a transform-row reduction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fhe import Evaluator, fastpath
-from repro.fhe import ntt
+from repro import obs
+from repro.fhe import CkksContext, Evaluator, kernels
+from repro.hecnn import layers
 
 
 def _component_residues(cts):
@@ -29,35 +33,45 @@ def _component_residues(cts):
     ]
 
 
+def _transform_rows() -> int:
+    reg = obs.get_registry()
+    return sum(
+        reg.counter("ntt_transform_rows", direction=d).value
+        for d in ("forward", "inverse")
+    )
+
+
+def _forward(model, ctx, encrypted, warm: bool):
+    """One forward pass from a cleared plaintext cache (after one warm-up
+    pass when ``warm``); returns the outputs and the NTT rows it used."""
+    ctx.clear_plaintext_cache()
+    if warm:
+        model.forward_encrypted(Evaluator(ctx), encrypted)
+    obs.reset()
+    out = model.forward_encrypted(Evaluator(ctx), encrypted)
+    return out, _transform_rows()
+
+
 def test_fastpath_forward_bit_identical_and_fewer_transforms(
     tiny_model, tiny_ctx, tiny_image
 ):
     encrypted = tiny_model.encrypt_input(tiny_ctx, tiny_image)
 
-    with fastpath.disabled():
-        ntt.TRANSFORM_STATS.reset()
-        slow_out = tiny_model.forward_encrypted(Evaluator(tiny_ctx), encrypted)
-        slow_rows = ntt.TRANSFORM_STATS.total_rows
-
-    # Warm the plaintext cache, then count the steady-state fast path.
-    # Hoisted rotations change rescale rounding order, so the bit-identity
-    # comparison runs with every *kernel* fast path on and hoisting off.
-    with fastpath.overridden(hoisted_rotations=False):
-        tiny_ctx.clear_plaintext_cache()
-        tiny_model.forward_encrypted(Evaluator(tiny_ctx), encrypted)
-        ntt.TRANSFORM_STATS.reset()
-        fast_out = tiny_model.forward_encrypted(Evaluator(tiny_ctx), encrypted)
-        fast_rows = ntt.TRANSFORM_STATS.total_rows
+    with kernels.using_backend("reference"):
+        ref_out, ref_rows = _forward(tiny_model, tiny_ctx, encrypted, True)
+    fast_out, fast_rows = _forward(tiny_model, tiny_ctx, encrypted, True)
 
     # Bit-identical ciphertexts out of the whole network.
-    assert len(fast_out) == len(slow_out)
+    assert len(fast_out) == len(ref_out)
     for f, s in zip(
-        _component_residues(fast_out), _component_residues(slow_out)
+        _component_residues(fast_out), _component_residues(ref_out)
     ):
         assert np.array_equal(f, s)
-
-    # Strictly fewer NTT row-transforms on the fast path.
-    assert fast_rows < slow_rows
+    # Same algorithms, so the same NTT row-transforms...
+    assert fast_rows == ref_rows
+    # ...and the warm plaintext cache saves transforms against a cold run.
+    _, cold_rows = _forward(tiny_model, tiny_ctx, encrypted, False)
+    assert fast_rows < cold_rows
 
     # And the encrypted result still decrypts to the plaintext reference.
     layout = tiny_model.layers[-1].output_layout
@@ -69,41 +83,34 @@ def test_fastpath_forward_bit_identical_and_fewer_transforms(
 
 
 def test_hoisted_rotations_equivalent_and_fewer_transforms(
-    tiny_model, tiny_ctx, tiny_image
+    tiny_model, tiny_params, tiny_image, monkeypatch
 ):
-    """The hoisted-rotation fold matches the sequential fast path numerically
-    and trims the transform-row count further."""
-    encrypted = tiny_model.encrypt_input(tiny_ctx, tiny_image)
+    """The hoisted-rotation fold matches the sequential fallback (no
+    composite keys provisioned) numerically and trims the transform-row
+    count."""
+    ctx = CkksContext(tiny_params, seed=11)
+    with monkeypatch.context() as patch:
+        # Provision only the logical rotation steps: every hoisted group
+        # misses a composite key and rotate_fold walks sequentially.
+        patch.setattr(layers, "fold_composite_steps", lambda *_: [])
+        tiny_model.provision_keys(ctx)
+    encrypted = tiny_model.encrypt_input(ctx, tiny_image)
+    seq_out, seq_rows = _forward(tiny_model, ctx, encrypted, True)
 
-    with fastpath.overridden(hoisted_rotations=False):
-        tiny_ctx.clear_plaintext_cache()
-        tiny_model.forward_encrypted(Evaluator(tiny_ctx), encrypted)
-        ntt.TRANSFORM_STATS.reset()
-        seq_out = tiny_model.forward_encrypted(Evaluator(tiny_ctx), encrypted)
-        seq_rows = ntt.TRANSFORM_STATS.total_rows
-
-    tiny_ctx.clear_plaintext_cache()
-    tiny_model.forward_encrypted(Evaluator(tiny_ctx), encrypted)
-    ntt.TRANSFORM_STATS.reset()
-    hoisted_out = tiny_model.forward_encrypted(Evaluator(tiny_ctx), encrypted)
-    hoisted_rows = ntt.TRANSFORM_STATS.total_rows
+    tiny_model.provision_keys(ctx)  # adds the composite keys
+    hoisted_out, hoisted_rows = _forward(tiny_model, ctx, encrypted, True)
 
     layout = tiny_model.layers[-1].output_layout
-    seq_vals = layout.extract([tiny_ctx.decrypt_values(ct) for ct in seq_out])
+    seq_vals = layout.extract([ctx.decrypt_values(ct) for ct in seq_out])
     hoisted_vals = layout.extract(
-        [tiny_ctx.decrypt_values(ct) for ct in hoisted_out]
+        [ctx.decrypt_values(ct) for ct in hoisted_out]
     )
     # Same computation up to rescale rounding order: both stay within the
     # CKKS noise budget of each other and of the plaintext reference.
     assert np.max(np.abs(hoisted_vals - seq_vals)) < 0.02
     reference = tiny_model.infer_plain(tiny_image)
     assert np.max(np.abs(hoisted_vals - reference)) < 0.05
-    if hoisted_rows < seq_rows:
-        pass  # hoisting found at least one group to share a lift across
-    else:
-        # Tiny models may expose no foldable multi-step group; the hoisted
-        # path must then fall back without extra transform work.
-        assert hoisted_rows == seq_rows
+    assert hoisted_rows < seq_rows
 
 
 def test_cold_cache_forward_matches_warm(tiny_model, tiny_ctx, tiny_image):

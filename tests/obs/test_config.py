@@ -1,11 +1,10 @@
-"""Master switch and fast-path config: scoping and concurrent flips."""
+"""Observability master switch: scoping and concurrent flips."""
 
 from __future__ import annotations
 
 import threading
 
 from repro import obs
-from repro.fhe import fastpath
 
 
 def test_switch_defaults_off_and_scopes_restore():
@@ -57,52 +56,3 @@ def test_concurrent_switch_flips_never_tear():
     for t in threads:
         t.join()
     assert not errors
-
-
-def test_fastpath_concurrent_configure_never_tears():
-    """Concurrent ``configure`` calls always leave a whole config object.
-
-    (Overlapping ``overridden`` scopes from different threads restore in
-    exit order by design; this exercises the locked swap itself.)
-    """
-    baseline = fastpath.get_config()
-    errors = []
-
-    def toggler(flag: str):
-        try:
-            for i in range(200):
-                cfg = fastpath.configure(**{flag: bool(i % 2)})
-                assert isinstance(getattr(cfg, flag), bool)
-                # Reads see a whole config object, never a torn one.
-                assert isinstance(fastpath.get_config().batched_ntt, bool)
-        except Exception as exc:  # pragma: no cover
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=toggler, args=(flag,))
-        for flag in ("batched_ntt", "ntt_galois")
-        for _ in range(2)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    fastpath.configure(
-        batched_ntt=baseline.batched_ntt, ntt_galois=baseline.ntt_galois
-    )
-    assert fastpath.get_config() == baseline
-
-
-def test_fastpath_overridden_scope_restores():
-    baseline = fastpath.get_config()
-    with fastpath.overridden(batched_ntt=False) as cfg:
-        assert cfg.batched_ntt is False
-        assert fastpath.get_config() is cfg
-    assert fastpath.get_config() == baseline
-    with fastpath.disabled() as cfg:
-        assert not any(
-            (cfg.batched_ntt, cfg.ntt_galois, cfg.plaintext_cache,
-             cfg.vectorized_keyswitch)
-        )
-    assert fastpath.get_config() == baseline

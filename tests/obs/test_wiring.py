@@ -7,7 +7,7 @@ import pytest
 
 from repro import obs
 from repro.core import DesignSpace, FxHennFramework, explore
-from repro.fhe import ntt
+from repro.fhe import kernels
 from repro.fpga import acu9eg
 from repro.sim import AcceleratorSimulator
 
@@ -50,17 +50,26 @@ def test_evaluator_disabled_emits_nothing(ctx, evaluator, rng):
     assert obs.get_registry().counter("he_ops_total", op="CCadd").value == 0
 
 
-def test_transform_stats_compat_shim_counts_into_registry():
-    ntt.TRANSFORM_STATS.reset()
-    before = ntt.TRANSFORM_STATS.snapshot()
-    assert before["forward_calls"] == 0
-    assert before["inverse_rows"] == 0
-    assert before["total_rows"] == 0
+def test_transform_counters_live_in_registry(ctx):
+    """The NTT transform counters count with obs disabled, attribute rows
+    to the executing backend, and are zeroed by ``obs.reset()``."""
     reg = obs.get_registry()
-    # The shim reads the very registry counters the NTT engine bumps.
-    assert ntt.TRANSFORM_STATS.forward_calls == reg.counter(
-        "ntt_transform_calls", direction="forward"
-    ).value
+    calls = reg.counter("ntt_transform_calls", direction="forward")
+    rows = reg.counter("ntt_transform_rows", direction="forward")
+    obs.reset()
+    assert calls.value == 0 and rows.value == 0
+    assert not obs.enabled()
+    poly = ctx.encode(np.ones(ctx.slot_count)).poly
+    assert not poly.is_ntt
+    poly.to_ntt()
+    assert calls.value == 1
+    assert rows.value == poly.basis.level
+    backend = kernels.active_backend().name
+    assert reg.counter(
+        "ntt_transform_rows", direction="forward", backend=backend
+    ).value == poly.basis.level
+    obs.reset()
+    assert calls.value == 0 and rows.value == 0
 
 
 def test_noise_profile_publishes_per_layer_gauges():

@@ -199,6 +199,47 @@ def test_unknown_network_exits_nonzero_fhe_commands(command):
     assert excinfo.value.code != 0
 
 
+@pytest.mark.parametrize("stale", ["parallel", "numpy-lazy", "numba"])
+def test_unknown_kernel_backend_flag_exits_with_catalogue(stale):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["infer", "--network", "tiny", "--kernel-backend", stale])
+    assert excinfo.value.code != 0
+    message = str(excinfo.value)
+    assert "--kernel-backend" in message and repr(stale) in message
+    assert "montgomery, reference" in message
+
+
+@pytest.mark.parametrize("command", ["infer", "profile", "explain"])
+def test_unknown_kernel_backend_env_exits_at_startup(command, monkeypatch):
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "parallel")
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--network", "tiny"])
+    assert excinfo.value.code != 0
+    message = str(excinfo.value)
+    assert "REPRO_KERNEL_BACKEND" in message and "'parallel'" in message
+    assert "montgomery, reference" in message
+
+
+def test_kernel_backend_flag_beats_stale_env(monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "parallel")
+    try:
+        assert main(["infer", "--network", "tiny",
+                     "--kernel-backend", "montgomery"]) == 0
+    finally:
+        from repro.fhe import kernels
+
+        kernels.set_backend(None)
+    assert "OK" in capsys.readouterr().out
+
+
+def test_kernel_backend_help_lists_registered_backends(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["infer", "--help"])
+    assert excinfo.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())  # undo wrapping
+    assert "FHE kernel backend (montgomery, reference;" in help_text
+
+
 def test_missing_command_errors():
     with pytest.raises(SystemExit):
         main([])
