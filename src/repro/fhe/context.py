@@ -83,15 +83,22 @@ class CkksContext:
     def ensure_galois_keys(
         self, steps: list[int], levels: list[int] | None = None
     ) -> None:
-        """Generate rotation keys for the given steps/levels if absent."""
+        """Generate rotation keys for every step at every level (default:
+        all levels) if absent."""
         levels = levels or list(range(1, self.params.level + 1))
-        needed = [
-            s for s in dict.fromkeys(steps)
-            if any((s, lvl) not in self.galois_keys.keys for lvl in levels)
-        ]
-        if needed:
-            fresh = self.keygen.generate_galois_keys(needed, levels)
-            self.galois_keys.keys.update(fresh.keys)
+        self.ensure_rotation_keys(
+            [(step, lvl) for step in steps for lvl in levels]
+        )
+
+    def ensure_rotation_keys(self, pairs) -> None:
+        """Generate the Galois key of each ``(step, level)`` pair if absent
+        — exactly those pairs, in the given order."""
+        keys = self.galois_keys.keys
+        for step, level in pairs:
+            if (step, level) not in keys:
+                keys[(step, level)] = self.keygen.generate_galois_key(
+                    step, level
+                )
 
     def ensure_conjugation_keys(self, levels: list[int] | None = None) -> None:
         """Generate complex-conjugation keys (Galois element ``2N - 1``)."""

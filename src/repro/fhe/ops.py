@@ -15,7 +15,7 @@ the extended basis and forward-transformed in one batched kernel call, and
 the inner product with the stacked key is one lazy Shoup multiply plus one
 deferred Barrett reduction per key half.  It is bit-identical to the
 per-digit lift-and-accumulate formulation (pinned bit for bit by the
-property tests).  Two algorithm-level choices sit on top:
+property tests).  Three algorithm-level choices sit on top:
 
 * :meth:`Evaluator.encode_cached` encodes and forward-transforms each
   weight/bias/mask plaintext once per ``(cache_key, level, scale)`` and
@@ -26,7 +26,10 @@ property tests).  Two algorithm-level choices sit on top:
   shared by all subset-sum rotations of a group.  A hoisted group shares
   one rescale, so its rounding differs from the sequential
   ``add(acc, rotate(acc, s))`` walk — numerically equivalent within the
-  CKKS noise budget, but not bit-identical to it.
+  CKKS noise budget, but not bit-identical to it;
+* :meth:`Evaluator.rotate_hoisted` rotates one ciphertext by several steps
+  from one shared digit lift / forward NTT, each output bit-identical to
+  :meth:`Evaluator.rotate` (the baby steps of the BSGS dense layer).
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .poly import RnsPolynomial, rescale_polys
 _RELATIVE_SCALE_TOLERANCE = 1e-9
 
 
-def _probed(op_name: str):
+def _probed(op_name: str, output_op: str | None = None):
     """Wrap an evaluator op in an obs span + post-op ciphertext probes.
 
     With observability disabled the wrapper is a single flag check and a
@@ -68,8 +71,11 @@ def _probed(op_name: str):
     open), records the result ciphertext's level and scale, and — when a
     :class:`repro.obs.lineage.LineageTracker` is installed — records the
     op into the request's provenance DAG (parent lineage IDs, backend,
-    analytic noise delta).
+    analytic noise delta).  A multi-output op (returning a list of
+    ciphertexts) keeps ``op_name`` for its span; each output is counted and
+    recorded in the lineage DAG as one ``output_op``.
     """
+    per_output = output_op or op_name
 
     def decorate(fn):
         @functools.wraps(fn)
@@ -83,11 +89,17 @@ def _probed(op_name: str):
                     span.set(level=out.level, scale=out.scale)
                     probes.record_he_op(op_name, level=out.level,
                                         scale=out.scale)
+                elif isinstance(out, list):
+                    # One op per output that is not the input itself.
+                    for ct in out:
+                        if ct is not args[0]:
+                            probes.record_he_op(per_output, level=ct.level,
+                                                scale=ct.scale)
                 else:
                     probes.record_he_op(op_name)
             tracker = lineage.current_tracker()
             if tracker is not None:
-                tracker.observe(op_name, self, args, kwargs, out)
+                tracker.observe(per_output, self, args, kwargs, out)
             return out
 
         return wrapper
@@ -297,6 +309,47 @@ class Evaluator:
         return Ciphertext(
             components=(rot0.to_ntt() + k0, k1), scale=ct.scale
         )
+
+    @_probed("RotateHoisted", output_op="Rotate")
+    def rotate_hoisted(self, ct: Ciphertext, steps) -> list[Ciphertext]:
+        """Rotations of one ciphertext by each of ``steps`` (Halevi-Shoup
+        hoisting).
+
+        The digit decomposition, basis lift and forward NTT of ``c1`` run
+        once; each rotation then costs one NTT-domain Galois permutation of
+        the lifted digits, one key inner product and one special-prime
+        rescale.  Output ``i`` is bit-identical to ``rotate(ct, steps[i])``:
+        the automorphism commutes with the decomposition and the lift, and
+        the reduced inner product does not depend on which representative
+        of the digits it consumed.  Each non-zero step is recorded as one
+        KeySwitch; a zero step returns ``ct`` itself, like :meth:`rotate`.
+        """
+        if not ct.is_linear:
+            raise ValueError("relinearize before rotating")
+        slots = self.context.slot_count
+        n = self.context.params.poly_degree
+        c0, c1 = ct.components
+        lifted = ext_ctx = None
+        out = []
+        for step in steps:
+            step %= slots
+            if step == 0:
+                out.append(ct)
+                continue
+            g = pow(5, step, 2 * n)
+            key = self.context.galois_keys.get(step, ct.level)
+            if lifted is None:
+                ext = key.basis
+                ext_ctx = get_batched_ntt_context(ext.n, ext.primes)
+                lifted = _lift_digits_ntt(c1.to_ntt(), ext, ext_ctx)
+            perm = ext_ctx.galois_permutation(g)
+            k0, k1 = _key_switch_lifted(lifted[..., perm], key, ext_ctx)
+            rot0 = c0.galois_transform(g)
+            self._note(HeOp.KEY_SWITCH)
+            out.append(Ciphertext(
+                components=(rot0.to_ntt() + k0, k1), scale=ct.scale
+            ))
+        return out
 
     def negate(self, ct: Ciphertext) -> Ciphertext:
         """Homomorphic negation (free — no HE operation module involved)."""
@@ -610,22 +663,33 @@ def _key_switch(
     # one lazy sum + one Barrett pass per key half.
     ext_ctx = get_batched_ntt_context(ext.n, ext.primes)
     lifted_ntt = _lift_digits_ntt(component, ext, ext_ctx)  # (L, ext_L, N)
-    # Inner product against the fixed key rows via division-free lazy
-    # Shoup multiplies: each term lands in [0, 2q), summing L <= 8 of
-    # them stays far below the Barrett input bound, so one deferred
-    # reduction per key half suffices.  Broadcasting the digits over the
-    # stacked (b, a) pair covers both key halves in a single call.
-    qs_u64 = ext_ctx.qs_full  # (ext_L, N) contiguous tile
+    return _key_switch_lifted(lifted_ntt, key, ext_ctx)
+
+
+def _key_switch_lifted(
+    lifted_ntt: np.ndarray, key, ext_ctx
+) -> tuple[RnsPolynomial, RnsPolynomial]:
+    """Inner product of lifted, forward-transformed digits with one key,
+    then division by the special prime.
+
+    Inner product against the fixed key rows via division-free lazy
+    Shoup multiplies: each term lands in ``[0, 2q)``, summing ``L <= 8``
+    of them stays far below the Barrett input bound, so one deferred
+    reduction per key half suffices.  Broadcasting the digits over the
+    stacked ``(b, a)`` pair covers both key halves in a single call.  The
+    reduced result is canonical, so any representative of the digits
+    (lazy-exit or permuted) yields the same output bits.
+    """
+    ext = key.basis
     prod = shoup_mul_lazy(
-        lifted_ntt[None], key.stacked_ba, key.stacked_ba_shoup, qs_u64
+        lifted_ntt[None], key.stacked_ba, key.stacked_ba_shoup, ext_ctx.qs_full
     )
     red = _reduce_ext(prod.sum(axis=1), ext_ctx)  # (2, ext_L, N)
     acc0 = RnsPolynomial(ext, red[0], is_ntt=True)
     acc1 = RnsPolynomial(ext, red[1], is_ntt=True)
     # Divide by the special prime (last in the extended basis); both halves
     # share one stacked rescale.
-    out0, out1 = rescale_polys((acc0, acc1))
-    return out0, out1
+    return rescale_polys((acc0, acc1))
 
 
 def _key_switch_hoisted(
@@ -704,14 +768,14 @@ def _subset_steps(group, slot_count: int) -> list[int] | None:
     return sums
 
 
-def fold_composite_steps(steps, slot_count: int) -> list[int]:
-    """Rotation steps :meth:`Evaluator.rotate_fold` will need keys for,
-    mirroring its grouping walk exactly (subset sums of each hoisted group).
+def fold_key_steps(steps, slot_count: int) -> list[int]:
+    """Every rotation step :meth:`Evaluator.rotate_fold` fetches a Galois
+    key for, mirroring its grouping walk exactly: the subset sums of each
+    hoisted group, then each step it rotates on its own.
 
-    Layers advertise these alongside their base rotation steps so key
-    provisioning covers the hoisted execution; a missing composite key only
-    costs the fallback to a smaller group or the sequential path, never an
-    error.
+    Layers report these (at the level the fold runs) as their rotation
+    keys, so key provisioning covers the hoisted execution and nothing
+    else.
     """
     seq = [s % slot_count for s in steps]
     out: list[int] = []
@@ -727,5 +791,7 @@ def fold_composite_steps(steps, slot_count: int) -> list[int]:
             advanced = True
             break
         if not advanced:
+            if seq[i]:
+                out.append(seq[i])
             i += 1
     return out

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..fhe.ciphertext import Ciphertext
 from ..fhe.noise import NoiseBound, NoiseEstimator
-from ..fhe.ops import Evaluator, fold_composite_steps
+from ..fhe.ops import Evaluator, fold_key_steps
 from ..optypes import HeOp
 from .packing import ConvPacking, DensePacking, SlotLayout
 from .reference import PoolSpec
@@ -55,8 +55,10 @@ class PackedLayer:
     def output_layout(self) -> SlotLayout:
         raise NotImplementedError
 
-    def rotation_steps(self) -> list[int]:
-        return []
+    def rotation_keys(self, level: int) -> set[tuple[int, int]]:
+        """Every ``(step, level)`` Galois key :meth:`forward` fetches when
+        entered at ciphertext ``level`` — no more, no fewer."""
+        return set()
 
     def propagate_noise(
         self, est: NoiseEstimator, bound: NoiseBound
@@ -225,19 +227,27 @@ class PackedDense(PackedLayer):
         """Masked merges spend one extra level on the mask PCmult."""
         return 2 if self.packing.needs_mask else 1
 
-    def rotation_steps(self) -> list[int]:
-        """Rotation steps to provision keys for.
-
-        Includes the pairwise-composite steps the evaluator's hoisted
-        rotate-fold uses at runtime; the layer's *analytic* trace keeps the
-        logical schedule (``packing.rotation_steps_needed()``) unchanged.
-        """
+    def rotation_keys(self, level: int) -> set[tuple[int, int]]:
+        """Replication folds and BSGS rotations run at the entry level, the
+        rotate-and-sum folds after the weight rescale (one lower) and the
+        scattered merge after the mask rescale, if any.  Folds contribute
+        the keys of their hoisted groups (:func:`~repro.fhe.ops
+        .fold_key_steps`); the analytic trace keeps the logical schedule
+        (``packing.rotation_steps_needed()``)."""
         pk = self.packing
-        steps = set(pk.rotation_steps_needed())
-        steps.update(fold_composite_steps(pk.replication_steps(), pk.slot_count))
+        slots = pk.slot_count
+        keys: set[tuple[int, int]] = set()
+
+        def add(steps, lvl: int) -> None:
+            keys.update((s % slots, lvl) for s in steps if s % slots)
+
+        add(fold_key_steps(pk.replication_steps(), slots), level)
+        add(pk.baby_rotations(), level)
+        add(pk.giant_rotations(), level)
         for phase in pk.rotation_phases():
-            steps.update(fold_composite_steps(phase.steps, pk.slot_count))
-        return sorted(steps)
+            add(fold_key_steps(phase.steps, slots), level - 1)
+        add(pk.merge_rotation_steps(), level - self.levels_consumed)
+        return keys
 
     def _rotate_sum(self, evaluator: Evaluator, ct: Ciphertext) -> Ciphertext:
         for phase in self.packing.rotation_phases():
@@ -250,6 +260,8 @@ class PackedDense(PackedLayer):
             raise ValueError(
                 f"expected {pk.input_layout.num_cts} ciphertexts, got {len(cts)}"
             )
+        if pk.diagonal:
+            return [self._forward_diagonal(evaluator, cts[0])]
         inputs = list(cts)
         if pk.replicated and pk.copies > 1:
             base = evaluator.rotate_fold(inputs[0], pk.replication_steps())
@@ -307,11 +319,57 @@ class PackedDense(PackedLayer):
         )
         return [evaluator.add_plain(merged, bias_pt)]
 
+    def _forward_diagonal(
+        self, evaluator: Evaluator, ct: Ciphertext
+    ) -> Ciphertext:
+        """BSGS Halevi-Shoup product (see :class:`~repro.hecnn.packing
+        .DensePacking`).
+
+        Diagonal PCmults are scale-stationary (encoded at the last prime)
+        but left unrescaled: the baby products and the giant rotations all
+        run at scale ``Delta * q_last``, and one Rescale follows the giant
+        sum.  The fold, mask and bias then match the replicated regime.
+        """
+        pk = self.packing
+        babies = [ct] + evaluator.rotate_hoisted(ct, pk.baby_rotations())
+        q_last = float(ct.basis.primes[-1])
+        total: Ciphertext | None = None
+        for g, shift in enumerate([0] + pk.giant_rotations()):
+            block: Ciphertext | None = None
+            for j, baby in enumerate(babies):
+                pt = evaluator.encode_cached(
+                    lambda g=g, j=j: pk.bsgs_weight_vector(g, j, self.weights),
+                    level=ct.level,
+                    scale=q_last,
+                    cache_key=(self._cache_token, "d", g, j),
+                )
+                term = evaluator.multiply_plain(baby, pt)
+                block = term if block is None else evaluator.add(block, term)
+            if shift:
+                block = evaluator.rotate(block, shift)
+            total = block if total is None else evaluator.add(total, block)
+        reduced = self._rotate_sum(evaluator, evaluator.rescale(total))
+        if pk.needs_mask:
+            reduced = evaluator.multiply_values_rescale(
+                reduced,
+                lambda: pk.mask_vector(0),
+                cache_key=(self._cache_token, "m", 0),
+            )
+        bias_pt = evaluator.encode_cached(
+            lambda: pk.bias_vector(self.bias),
+            level=reduced.level,
+            scale=reduced.scale,
+            cache_key=(self._cache_token, "b"),
+        )
+        return evaluator.add_plain(reduced, bias_pt)
+
     def propagate_noise(
         self, est: NoiseEstimator, bound: NoiseBound
     ) -> NoiseBound:
         pk = self.packing
         w_bound = max(float(np.max(np.abs(self.weights))), 1e-12)
+        if pk.diagonal:
+            return self._propagate_noise_diagonal(est, bound, w_bound)
         if pk.replicated and pk.copies > 1:
             for _ in pk.replication_steps():
                 bound = est.add(bound, est.rotate(bound))
@@ -335,8 +393,33 @@ class PackedDense(PackedLayer):
             partial = merged
         return est.add_plain(partial, float(np.max(np.abs(self.bias))))
 
+    def _propagate_noise_diagonal(
+        self, est: NoiseEstimator, bound: NoiseBound, w_bound: float
+    ) -> NoiseBound:
+        """Mirrors :meth:`_forward_diagonal` op for op."""
+        pk = self.packing
+        babies = [bound] + [est.rotate(bound) for _ in pk.baby_rotations()]
+        total = None
+        for shift in [0] + pk.giant_rotations():
+            block = None
+            for baby in babies:
+                term = est.multiply_plain(baby, w_bound)
+                block = term if block is None else est.add(block, term)
+            if shift:
+                block = est.rotate(block)
+            total = block if total is None else est.add(total, block)
+        partial = est.rescale(total)
+        for phase in pk.rotation_phases():
+            for _ in phase.steps:
+                partial = est.add(partial, est.rotate(partial))
+        if pk.needs_mask:
+            partial = est.multiply_values_rescale(partial, 1.0)
+        return est.add_plain(partial, float(np.max(np.abs(self.bias))))
+
     def trace(self, level: int) -> LayerTrace:
         pk = self.packing
+        if pk.diagonal:
+            return self._trace_diagonal(level)
         g = 1 if pk.replicated else pk.input_layout.num_cts
         repl_steps = pk.replication_steps()
         rot_per_chunk = sum(len(ph.steps) for ph in pk.rotation_phases())
@@ -368,6 +451,32 @@ class PackedDense(PackedLayer):
             rotation_steps=tuple(pk.rotation_steps_needed()),
             macs=pk.spec.macs,
             plaintext_count=chunks * g + mask_ops + 1,
+        )
+
+    def _trace_diagonal(self, level: int) -> LayerTrace:
+        pk = self.packing
+        babies, giants = pk.baby_steps, pk.giant_steps
+        fold = len(pk.rotation_phases()[0].steps)
+        mask_ops = 1 if pk.needs_mask else 0
+        counts = {
+            HeOp.PC_MULT: pk.diagonal_count + mask_ops,
+            HeOp.RESCALE: 1 + mask_ops,
+            HeOp.KEY_SWITCH: (babies - 1) + (giants - 1) + fold,
+            HeOp.CC_ADD: giants * (babies - 1) + (giants - 1) + fold,
+            HeOp.PC_ADD: 1,
+        }
+        return LayerTrace(
+            name=self.name,
+            kind="KS",
+            op_counts=counts,
+            nks_units=counts[HeOp.PC_MULT],
+            ks_units=counts[HeOp.KEY_SWITCH],
+            level=level,
+            num_input_cts=1,
+            num_output_cts=1,
+            rotation_steps=tuple(pk.rotation_steps_needed()),
+            macs=pk.spec.macs,
+            plaintext_count=pk.diagonal_count + mask_ops + 1,
         )
 
 
@@ -411,6 +520,13 @@ class PackedAveragePool(PackedLayer):
         horizontal = list(range(1, k))
         vertical = [dy * s for dy in range(1, k)]
         return sorted(set(horizontal + vertical))
+
+    def rotation_keys(self, level: int) -> set[tuple[int, int]]:
+        """Both separable passes rotate at the entry level."""
+        slots = self.input_layout.slot_count
+        return {
+            (s % slots, level) for s in self.rotation_steps() if s % slots
+        }
 
     def _anchor_slots(self, ct: int) -> np.ndarray:
         """Slots holding window anchors within one input ciphertext."""

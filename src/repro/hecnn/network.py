@@ -128,16 +128,15 @@ class HeCnn:
         )
         if relin_levels:
             context.ensure_relin_keys(relin_levels)
-        for layer, lvl in zip(self.layers, levels):
-            steps = layer.rotation_steps()
-            if steps:
-                # Replication rotates at the entry level; rotate-and-sum
-                # after the weight rescale (one lower); merge rotations
-                # after an eventual mask rescale (two lower).
-                key_levels = [lvl, lvl - 1]
-                if layer.levels_consumed > 1:
-                    key_levels.append(lvl - 2)
-                context.ensure_galois_keys(steps, levels=key_levels)
+        context.ensure_rotation_keys(sorted(self.rotation_keys()))
+
+    def rotation_keys(self) -> set[tuple[int, int]]:
+        """Every ``(step, level)`` Galois key the forward pass fetches: the
+        union of each layer's keys at its entry level."""
+        keys: set[tuple[int, int]] = set()
+        for layer, lvl in zip(self.layers, self.layer_entry_levels()):
+            keys |= layer.rotation_keys(lvl)
+        return keys
 
     # -- inference ----------------------------------------------------------------------
 

@@ -36,6 +36,18 @@ rotations.  For scattered inputs (the output of a previous dense layer) the
 reduction uses a two-phase schedule (intra-block window then inter-block
 strides), and per-row results merge through a shift-by-one accumulator that
 needs only a single rotation key.
+
+**Dense, diagonal.**  When the input is clean and contiguous but
+``next_pow2(W)`` already fills every slot (``C == 1``), replication buys
+nothing and the replicated regime would run one chunk — and one full-width
+rotate-and-sum — per row.  Instead the layer runs a hybrid Halevi-Shoup
+product over ``m' = next_pow2(rows)`` diagonals ``d_i[k] = W[k mod m',
+(k + i) mod S]``: ``sum_i d_i * rot(x, i)`` leaves, in every slot ``k``, a
+partial dot product of row ``k mod m'``, and a ``log2(S / m')``-step fold
+over the strides ``S/2 .. m'`` completes row ``r`` at slot ``r``.  The sum
+over ``i = g * b1 + j`` runs baby-step/giant-step: ``b1 - 1`` hoisted baby
+rotations of the input, ``G - 1`` giant rotations of the partial sums, with
+giant block ``g``'s diagonals pre-rotated by ``-g * b1``.
 """
 
 from __future__ import annotations
@@ -248,10 +260,13 @@ class RotationPhase:
 class DensePacking:
     """Packing plan for one fully connected (KS-type) layer.
 
-    Two regimes, chosen from the input layout:
+    Three regimes, chosen from the input layout:
 
-    * **replicated** (clean contiguous input): ``C`` copies, wrap-around
-      diagonal weights, outputs at ``b * B + j``;
+    * **replicated** (clean contiguous input, ``C > 1``): ``C`` copies,
+      wrap-around diagonal weights, outputs at ``b * B + j``;
+    * **diagonal** (clean contiguous input, ``C == 1``): one BSGS
+      Halevi-Shoup product over ``m'`` diagonals, row ``r`` at slot ``r``
+      of a single output ciphertext;
     * **scattered** (previous dense output): one chunk per row, two-phase
       reduction, outputs merged via a shift-by-one accumulator.
     """
@@ -264,6 +279,7 @@ class DensePacking:
     merge_output: bool = True
     slot_count: int = field(init=False)
     replicated: bool = field(init=False)
+    diagonal: bool = field(init=False)
     block_width: int = field(init=False)
     copies: int = field(init=False)
     num_chunks: int = field(init=False)
@@ -276,14 +292,23 @@ class DensePacking:
                 f"{self.spec.in_features}"
             )
         object.__setattr__(self, "slot_count", lay.slot_count)
-        replicated = (
+        contiguous = (
             lay.clean
             and lay.num_cts == 1
             and bool(np.all(lay.ct_index == 0))
             and bool(np.array_equal(lay.slot_index, np.arange(lay.value_count)))
         )
+        diagonal = contiguous and (
+            next_pow2(self.spec.in_features) == lay.slot_count
+        )
+        replicated = contiguous and not diagonal
         object.__setattr__(self, "replicated", replicated)
-        if replicated:
+        object.__setattr__(self, "diagonal", diagonal)
+        if diagonal:
+            if self.spec.out_features > lay.slot_count:
+                raise ValueError("too many rows for the diagonal packing")
+            b, c, chunks = lay.slot_count, 1, 1
+        elif replicated:
             b = next_pow2(self.spec.in_features)
             c = max(1, lay.slot_count // b)
             chunks = -(-self.spec.out_features // c)
@@ -297,6 +322,54 @@ class DensePacking:
         object.__setattr__(self, "block_width", b)
         object.__setattr__(self, "copies", c)
         object.__setattr__(self, "num_chunks", chunks)
+
+    # -- diagonal (BSGS) regime --------------------------------------------------
+
+    @property
+    def diagonal_count(self) -> int:
+        """``m' = next_pow2(rows)``: diagonals of the Halevi-Shoup product."""
+        return next_pow2(self.spec.out_features)
+
+    @property
+    def baby_steps(self) -> int:
+        """``b1 = 2^ceil(log2(m') / 2)``: input rotations ``0 .. b1-1``."""
+        log_m = self.diagonal_count.bit_length() - 1
+        return 1 << -(-log_m // 2)
+
+    @property
+    def giant_steps(self) -> int:
+        """``G = m' / b1``: giant blocks, rotated by ``g * b1``."""
+        return self.diagonal_count // self.baby_steps
+
+    def baby_rotations(self) -> list[int]:
+        """Hoisted input rotations ``1 .. b1-1`` (none outside the
+        diagonal regime)."""
+        return list(range(1, self.baby_steps)) if self.diagonal else []
+
+    def giant_rotations(self) -> list[int]:
+        """Rotations ``g * b1`` of giant blocks ``1 .. G-1``."""
+        if not self.diagonal:
+            return []
+        return [g * self.baby_steps for g in range(1, self.giant_steps)]
+
+    def diagonal_vector(self, i: int, weights: np.ndarray) -> np.ndarray:
+        """Diagonal ``d_i[k] = W[k mod m', (k + i) mod S]``, zero outside W."""
+        k = np.arange(self.slot_count)
+        row = k % self.diagonal_count
+        col = (k + i) % self.slot_count
+        inside = (row < self.spec.out_features) & (col < self.spec.in_features)
+        vec = np.zeros(self.slot_count)
+        vec[inside] = weights[row[inside], col[inside]]
+        return vec
+
+    def bsgs_weight_vector(
+        self, giant: int, baby: int, weights: np.ndarray
+    ) -> np.ndarray:
+        """Plaintext multiplying baby rotation ``baby`` in giant block
+        ``giant``: diagonal ``giant * b1 + baby`` pre-rotated by
+        ``-giant * b1``, so the block's single giant rotation lines it up."""
+        shift = giant * self.baby_steps
+        return np.roll(self.diagonal_vector(shift + baby, weights), shift)
 
     # -- replication -------------------------------------------------------------
 
@@ -326,6 +399,8 @@ class DensePacking:
         docstring).  Scattered regime: row ``chunk``'s weights at the input
         layout's positions within ``input_ct``.
         """
+        if self.diagonal:
+            raise ValueError("diagonal packing: use bsgs_weight_vector")
         vec = np.zeros(self.slot_count)
         lay = self.input_layout
         if self.replicated:
@@ -345,8 +420,9 @@ class DensePacking:
         return vec
 
     def bias_vector(self, bias: np.ndarray) -> np.ndarray:
-        """Bias plaintext matching the merged output layout (single PCadd)."""
-        if not self.merge_output:
+        """Bias plaintext matching a single-ciphertext output layout (one
+        PCadd): every merged packing and the diagonal regime."""
+        if not (self.merge_output or self.diagonal):
             raise ValueError("unmerged packing: use chunk_bias_vector")
         vec = np.zeros(self.slot_count)
         out = self.output_layout()
@@ -368,7 +444,16 @@ class DensePacking:
     # -- reductions ------------------------------------------------------------------
 
     def rotation_phases(self) -> list[RotationPhase]:
-        """The rotate-and-sum schedule applied after each chunk's PCmult."""
+        """The rotate-and-sum schedule applied after each chunk's PCmult
+        (diagonal regime: the fold over strides ``S/2 .. m'`` after the
+        BSGS sum)."""
+        if self.diagonal:
+            steps = []
+            step = self.slot_count // 2
+            while step >= self.diagonal_count:
+                steps.append(step)
+                step //= 2
+            return [RotationPhase(tuple(steps))]
         if self.replicated:
             steps = []
             step = self.block_width // 2
@@ -408,13 +493,20 @@ class DensePacking:
         additional ciphertext level for the layer).  This is exactly the
         slack the paper's parameter choice provides: L = 7 supports the
         5 multiplications of the network plus the dense-layer re-packing.
+
+        The diagonal regime's fold also fills every slot; with more than one
+        row a merged output is masked the same way, so it stays clean.
         """
+        if self.diagonal:
+            return self.merge_output and self.spec.out_features > 1
         return self.merge_output and self.num_chunks > 1
 
     def mask_vector(self, chunk: int) -> np.ndarray:
         """The 0/1 plaintext isolating one chunk's output slots."""
         vec = np.zeros(self.slot_count)
-        if self.replicated:
+        if self.diagonal:
+            vec[: self.spec.out_features] = 1.0
+        elif self.replicated:
             for b in range(self.copies):
                 row = chunk * self.copies + b
                 if row < self.spec.out_features:
@@ -426,18 +518,21 @@ class DensePacking:
     def merge_rotation_steps(self) -> list[int]:
         """Rotations needed to merge chunk results into one ciphertext.
 
-        Replicated regime: none (the diagonal trick places outputs
-        directly).  Scattered regime: ``chunks - 1`` shift-by-one rotations
-        of the accumulator (all the same step — one rotation key).
-        Unmerged output layers need none."""
-        if self.replicated or not self.merge_output:
+        Replicated and diagonal regimes: none (the diagonal placement puts
+        outputs directly).  Scattered regime: ``chunks - 1`` shift-by-one
+        rotations of the accumulator (all the same step — one rotation
+        key).  Unmerged output layers need none."""
+        if self.replicated or self.diagonal or not self.merge_output:
             return []
         return [self.slot_count - 1] * (self.num_chunks - 1)
 
     def rotation_steps_needed(self) -> list[int]:
-        """All distinct rotation steps (for Galois key provisioning)."""
+        """All distinct logical rotation steps (the layer trace's
+        ``rotation_steps``; keys come from ``PackedDense.rotation_keys``)."""
         steps: list[int] = []
         steps.extend(self.replication_steps())
+        steps.extend(self.baby_rotations())
+        steps.extend(self.giant_rotations())
         for phase in self.rotation_phases():
             steps.extend(phase.steps)
         steps.extend(self.merge_rotation_steps())
@@ -452,6 +547,18 @@ class DensePacking:
         ciphertexts.
         """
         rows = np.arange(self.spec.out_features)
+        if self.diagonal:
+            # Row r at slot r of the one output ciphertext — the replicated
+            # regime's C == 1 layout.
+            return SlotLayout(
+                slot_count=self.slot_count,
+                num_cts=1,
+                ct_index=np.zeros_like(rows),
+                slot_index=rows.astype(np.int64),
+                clean=self.needs_mask,
+                block_stride=self.slot_count,
+                offset_span=self.spec.out_features,
+            )
         if not self.merge_output:
             if self.replicated:
                 j, b = np.divmod(rows, self.copies)

@@ -229,6 +229,11 @@ class LineageTracker:
         :mod:`repro.fhe.ops` (obs-enabled path only)."""
         from ..fhe.ciphertext import Ciphertext, Plaintext
 
+        if isinstance(out, list):
+            # A multi-output op (hoisted rotations): one node per output.
+            for item in out:
+                self.observe(op_name, evaluator, args, kwargs, item)
+            return
         if not isinstance(out, Ciphertext):
             return
         operands = list(args) + list(kwargs.values())

@@ -153,12 +153,12 @@ def test_rotate_and_sum_rejects_non_power_of_two(ctx, evaluator):
 
 
 def test_rotate_fold_hoisted_matches_sequential(ctx, evaluator):
-    from repro.fhe.ops import fold_composite_steps
+    from repro.fhe.ops import fold_key_steps
 
     steps = [4, 2, 1]
-    composites = fold_composite_steps(steps, ctx.slot_count)
-    assert composites  # the grouping walk must find at least one group
-    ctx.ensure_galois_keys(sorted(set(steps) | set(composites)))
+    keys = fold_key_steps(steps, ctx.slot_count)
+    assert len(keys) == 7  # the grouping walk must hoist the triple
+    ctx.ensure_galois_keys(keys)
     a = _vals(ctx, 40)
     ct = ctx.encrypt_values(a)
     hoisted = evaluator.rotate_fold(ct, steps)
@@ -170,6 +170,25 @@ def test_rotate_fold_hoisted_matches_sequential(ctx, evaluator):
         expected = expected + np.roll(expected, -s)
     assert np.allclose(ctx.decrypt_values(hoisted), expected, atol=ATOL)
     assert np.allclose(ctx.decrypt_values(sequential), expected, atol=ATOL)
+
+
+@pytest.mark.parametrize("level", [4, 3])
+def test_rotate_hoisted_bit_identical_to_rotate(ctx, level):
+    """Each hoisted output equals the per-step rotation bit for bit, and
+    each non-zero step records one KeySwitch."""
+    ct = ctx.encrypt_values(_vals(ctx, 45), level=level)
+    steps = [1, 0, 2, 8, 128, 1 + ctx.slot_count]
+    rec = OperationRecorder()
+    hoisted = Evaluator(ctx, recorder=rec).rotate_hoisted(ct, steps)
+    assert rec.counts == {HeOp.KEY_SWITCH: 5}
+    assert hoisted[1] is ct
+    ev = Evaluator(ctx)
+    for step, out in zip(steps, hoisted):
+        want = ev.rotate(ct, step)
+        assert out.level == want.level == level and out.scale == want.scale
+        for got_c, want_c in zip(out.components, want.components):
+            assert np.array_equal(got_c.to_ntt().residues,
+                                  want_c.to_ntt().residues)
 
 
 def test_rotate_fold_falls_back_without_composite_keys(ctx, evaluator):
@@ -187,8 +206,8 @@ def test_rotate_fold_falls_back_without_composite_keys(ctx, evaluator):
     assert np.allclose(out, expected, atol=ATOL)
 
 
-def test_fold_composite_steps_mirrors_grouping():
-    from repro.fhe.ops import _subset_steps, fold_composite_steps
+def test_fold_key_steps_mirrors_grouping():
+    from repro.fhe.ops import _subset_steps, fold_key_steps
 
     # A 3-step group advertises all non-empty subset sums.
     assert _subset_steps((4, 2, 1), 256) == [4, 2, 6, 1, 5, 3, 7]
@@ -196,10 +215,11 @@ def test_fold_composite_steps_mirrors_grouping():
     assert _subset_steps((0, 2), 256) is None
     assert _subset_steps((128, 128), 256) is None
     # The provisioning walk matches rotate_fold's greedy grouping: one
-    # triple from [4, 2, 1], then the trailing single adds nothing.
-    assert fold_composite_steps([4, 2, 1, 16], 256) == [4, 2, 6, 1, 5, 3, 7]
-    # Steps congruent to zero are skipped exactly like the runtime walk.
-    assert fold_composite_steps([256, 8], 256) == []
+    # triple from [4, 2, 1], then the trailing single rotates on its own.
+    assert fold_key_steps([4, 2, 1, 16], 256) == [4, 2, 6, 1, 5, 3, 7, 16]
+    # Steps congruent to zero need no key, exactly like the runtime walk
+    # (a zero rotation returns its input).
+    assert fold_key_steps([256, 8], 256) == [8]
 
 
 # -- guards --------------------------------------------------------------------------

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from repro.fhe import CkksContext, tiny_test_params
-from repro.hecnn import fxhenn_cifar10_model, fxhenn_mnist_model, tiny_mnist_model
+from repro.hecnn import (
+    NetworkBuilder,
+    fxhenn_cifar10_model,
+    fxhenn_mnist_model,
+    tiny_mnist_model,
+)
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +46,44 @@ def cifar_model():
 @pytest.fixture()
 def tiny_image() -> np.ndarray:
     return np.random.default_rng(5).uniform(0, 1, (1, 8, 8))
+
+
+@pytest.fixture(scope="session")
+def diag_net(tiny_params):
+    """N=512 net whose Fc1 input (2 maps x 10x10 = 200 values) pads to all
+    256 slots: ``copies == 1``, so Fc1 takes the diagonal (BSGS) regime
+    with m' = 32 diagonals (b1 = 8, G = 4)."""
+    return (
+        NetworkBuilder("Diag-512", tiny_params, seed=6)
+        .conv(out_channels=2, kernel_size=3, stride=1, in_channels=1,
+              in_size=12)
+        .square()
+        .dense(20)
+        .square()
+        .dense(4)
+        .build()
+    )
+
+
+@pytest.fixture(scope="session")
+def diag_ctx(tiny_params, diag_net) -> CkksContext:
+    ctx = CkksContext(tiny_params, seed=17)
+    diag_net.provision_keys(ctx)
+    return ctx
+
+
+@pytest.fixture(scope="session")
+def pool_params():
+    return tiny_test_params(poly_degree=1024, level=7)
+
+
+@pytest.fixture(scope="session")
+def pooled_net(pool_params):
+    return (
+        NetworkBuilder("pool-demo", pool_params, seed=4)
+        .conv(out_channels=2, kernel_size=3, stride=1, in_channels=1, in_size=10)
+        .average_pool(2)
+        .square()
+        .dense(6)
+        .build()
+    )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.fhe import CkksContext, OperationRecorder, tiny_test_params
+from repro.fhe import CkksContext, OperationRecorder
 from repro.hecnn import (
     NetworkBuilder,
     PackedAveragePool,
@@ -13,23 +13,6 @@ from repro.hecnn import (
     PoolSpec,
     SlotLayout,
 )
-
-
-@pytest.fixture(scope="module")
-def pool_params():
-    return tiny_test_params(poly_degree=1024, level=7)
-
-
-@pytest.fixture(scope="module")
-def pooled_net(pool_params):
-    return (
-        NetworkBuilder("pool-demo", pool_params, seed=4)
-        .conv(out_channels=2, kernel_size=3, stride=1, in_channels=1, in_size=10)
-        .average_pool(2)
-        .square()
-        .dense(6)
-        .build()
-    )
 
 
 @pytest.fixture(scope="module")

@@ -21,8 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.fhe import CkksContext, Evaluator, kernels
-from repro.hecnn import layers
+from repro.fhe import CkksContext, Evaluator, kernels, ops
 
 
 def _component_residues(cts):
@@ -90,9 +89,10 @@ def test_hoisted_rotations_equivalent_and_fewer_transforms(
     count."""
     ctx = CkksContext(tiny_params, seed=11)
     with monkeypatch.context() as patch:
-        # Provision only the logical rotation steps: every hoisted group
-        # misses a composite key and rotate_fold walks sequentially.
-        patch.setattr(layers, "fold_composite_steps", lambda *_: [])
+        # Provision only the logical rotation steps (a one-step group has
+        # no composites): every hoisted group misses a composite key and
+        # rotate_fold walks sequentially.
+        patch.setattr(ops, "_FOLD_GROUP", 1)
         tiny_model.provision_keys(ctx)
     encrypted = tiny_model.encrypt_input(ctx, tiny_image)
     seq_out, seq_rows = _forward(tiny_model, ctx, encrypted, True)

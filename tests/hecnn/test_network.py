@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.fhe import CkksContext, OperationRecorder, fxhenn_mnist_params
-from repro.hecnn import fxhenn_mnist_model, synthetic_mnist_image
+from repro.fhe.keys import GaloisKeys
+from repro.hecnn import NetworkBuilder, fxhenn_mnist_model, synthetic_mnist_image
 
 
 def test_tiny_end_to_end(tiny_model, tiny_ctx, tiny_image):
@@ -81,11 +82,76 @@ def test_context_mismatch_rejected(tiny_model):
         tiny_model.encrypt_input(other, np.zeros((1, 8, 8)))
 
 
-def test_provision_keys_covers_forward(tiny_params, tiny_model, tiny_image):
-    """A fresh context provisioned by the network runs without KeyErrors."""
+def _fetched_galois_keys(monkeypatch, model, ctx, image) -> set:
+    """Run one inference, recording every ``(step, level)`` Galois key
+    the forward pass fetches."""
+    fetched = set()
+    original = GaloisKeys.get
+
+    def get(self, step, level):
+        key = original(self, step, level)
+        fetched.add((step, level))
+        return key
+
+    monkeypatch.setattr(GaloisKeys, "get", get)
+    model.infer(ctx, image)
+    monkeypatch.undo()
+    return fetched
+
+
+def test_provision_keys_covers_forward(
+    tiny_params, tiny_model, tiny_image, monkeypatch
+):
+    """A fresh context provisioned by the network runs without KeyErrors,
+    and holds exactly the keys the forward pass fetches."""
     ctx = CkksContext(tiny_params, seed=123)
     tiny_model.provision_keys(ctx)
-    tiny_model.infer(ctx, tiny_image)  # must not raise
+    fetched = _fetched_galois_keys(monkeypatch, tiny_model, ctx, tiny_image)
+    assert fetched == set(ctx.galois_keys.keys)
+    assert fetched == tiny_model.rotation_keys()
+
+
+@pytest.fixture(scope="module")
+def scattered_net(tiny_params):
+    """Cnv1 spans two ciphertexts (3 maps x 100 positions > 256 slots), so
+    Fc1 is scattered and merged: a mask, then shift-by-one merge rotations
+    two levels below its entry."""
+    return (
+        NetworkBuilder("scattered", tiny_params, seed=8)
+        .conv(out_channels=3, kernel_size=3, stride=1, in_channels=1,
+              in_size=12)
+        .square()
+        .dense(4)
+        .square()
+        .dense(3)
+        .build()
+    )
+
+
+@pytest.mark.parametrize("net,params", [
+    ("diag_net", "tiny_params"),
+    ("pooled_net", "pool_params"),
+    ("scattered_net", "tiny_params"),
+])
+def test_provisioned_keys_are_exactly_the_fetched_keys(
+    net, params, request, monkeypatch
+):
+    """No key the forward pass needs is missing and none goes unused
+    (Tiny-MNIST: ``test_provision_keys_covers_forward``)."""
+    model = request.getfixturevalue(net)
+    params = request.getfixturevalue(params)
+    ctx = CkksContext(params, seed=31)
+    model.provision_keys(ctx)
+    conv = model.input_packing.spec
+    image = np.random.default_rng(2).uniform(
+        0, 1, (conv.in_channels, conv.in_size, conv.in_size)
+    )
+    fetched = _fetched_galois_keys(monkeypatch, model, ctx, image)
+    assert fetched
+    assert fetched == set(ctx.galois_keys.keys)
+    assert np.allclose(
+        model.infer(ctx, image), model.infer_plain(image), atol=5e-2
+    )
 
 
 @pytest.mark.slow
