@@ -81,9 +81,11 @@ class CkksEncoder:
         slots = np.zeros(self.slot_count, dtype=np.complex128)
         slots[: vec.size] = vec
         real_coeffs = self._embed(slots) * scale
+        if not np.isfinite(real_coeffs).all():
+            raise ValueError("cannot encode a non-finite value")
         if np.max(np.abs(real_coeffs)) >= 2**62:
             raise OverflowError("scaled message too large for exact rounding")
-        int_coeffs = [int(c) for c in np.rint(real_coeffs)]
+        int_coeffs = np.rint(real_coeffs).astype(np.int64)
         return RnsPolynomial.from_coefficients(basis, int_coeffs)
 
     def encode_scalar(

@@ -73,7 +73,9 @@ def _probed(op_name: str, output_op: str | None = None):
     op into the request's provenance DAG (parent lineage IDs, backend,
     analytic noise delta).  A multi-output op (returning a list of
     ciphertexts) keeps ``op_name`` for its span; each output is counted and
-    recorded in the lineage DAG as one ``output_op``.
+    recorded in the lineage DAG as one ``output_op``.  Without
+    ``output_op``, each output is one ``op_name`` lineage node and the op
+    counts the logical HE ops it stands for itself.
     """
     per_output = output_op or op_name
 
@@ -90,8 +92,9 @@ def _probed(op_name: str, output_op: str | None = None):
                     probes.record_he_op(op_name, level=out.level,
                                         scale=out.scale)
                 elif isinstance(out, list):
-                    # One op per output that is not the input itself.
-                    for ct in out:
+                    # One op per output that is not the input itself (a
+                    # fused op without output_op counts its own ops).
+                    for ct in out if output_op is not None else ():
                         if ct is not args[0]:
                             probes.record_he_op(per_output, level=ct.level,
                                                 scale=ct.scale)
@@ -402,6 +405,133 @@ class Evaluator:
         )
         return self.rescale(self.multiply_plain(ct, pt))
 
+    @_probed(lineage.FUSED_SUM_OP)
+    def multiply_values_rescale_sum(
+        self, cts, values, outputs: int, cache_key
+    ) -> list[Ciphertext]:
+        """``outputs`` sums of scale-stationary PCmult -> Rescale terms:
+        ``out[j] = sum_i multiply_values_rescale(cts[i], values(j, i))``.
+
+        Bit-identical to that ``multiply_values_rescale`` + ``add`` chain,
+        and recorded (and counted in ``he_ops_total``) as its
+        ``outputs * k`` PCmult, ``outputs * k`` Rescale and
+        ``outputs * (k - 1)`` CCadd, ``k = len(cts)``.  Plaintext ``(j, i)``
+        is encoded through :meth:`encode_cached` under ``(*cache_key, j,
+        i)``.  Every input must be a 2-component ciphertext at one level
+        and one scale.
+
+        In NTT form, Rescale is ``(x_i - NTT_i([c])) * q_last^-1 mod q_i``
+        with ``c`` the centered inverse transform of the last limb ``x_L``.
+        Only the centering is nonlinear, so each term keeps its own
+        single-prime inverse transform and centering, while the kept limbs
+        and the centered values are summed first: one lift, one forward
+        NTT, one subtraction and one constant multiply per output instead
+        of one per term.  Both sides are canonical residues, hence equal.
+        The kept-limb products accumulate unreduced in uint64 and are
+        reduced only when the next term could overflow.
+        """
+        cts = list(cts)
+        if not cts:
+            raise ValueError("need at least one input ciphertext")
+        first = cts[0]
+        for ct in cts:
+            if ct.size != 2:
+                raise ValueError("inputs must be 2-component ciphertexts")
+            if ct.level != first.level:
+                raise ValueError(
+                    f"level mismatch: {ct.level} vs {first.level}"
+                )
+            self._check_scales(ct.scale, first.scale)
+        basis = first.basis
+        if basis.level < 2:
+            raise ValueError("cannot rescale a level-1 ciphertext")
+        new_basis = basis.drop_last()
+        q_last = basis.primes[-1]
+        pt_scale = float(q_last)
+        rows = self._rescale_sum_rows(cts, values, outputs, pt_scale, cache_key)
+        scale = (first.scale * pt_scale) / q_last
+        out = [
+            Ciphertext(
+                components=tuple(
+                    RnsPolynomial(new_basis, rows[j, c], is_ntt=True)
+                    for c in range(2)
+                ),
+                scale=scale,
+            )
+            for j in range(outputs)
+        ]
+        k = len(cts)
+        for op, count, lvl, sc in (
+            (HeOp.PC_MULT, outputs * k, basis.level, first.scale * pt_scale),
+            (HeOp.RESCALE, outputs * k, new_basis.level, scale),
+            (HeOp.CC_ADD, outputs * (k - 1), new_basis.level, scale),
+        ):
+            if count:
+                self._note(op, count)
+                probes.record_he_op(op.value, level=lvl, scale=sc,
+                                    count=count)
+        return out
+
+    def _rescale_sum_rows(
+        self, cts, values, outputs: int, pt_scale: float, cache_key
+    ) -> np.ndarray:
+        """Residues ``(outputs, 2, L-1, N)`` of
+        :meth:`multiply_values_rescale_sum`.
+
+        Each input is read once for all outputs: the kept-limb products
+        with its ``outputs`` cached plaintexts accumulate unreduced, and
+        their last-limb products take one inverse transform per input.
+        Buffers are allocated once per call.
+        """
+        basis = cts[0].basis
+        n, level = basis.n, basis.level
+        q_last = basis.primes[-1]
+        kept = basis.primes[:-1]
+        kept_ctx = get_batched_ntt_context(n, kept)
+        backend = kernels.active_backend()
+        budget = _lazy_product_budget(max(kept))
+
+        acc = np.zeros((outputs, 2, level - 1, n), dtype=np.uint64)
+        prod = np.empty((level - 1, n), dtype=np.uint64)
+        last = np.empty((outputs, 2, n), dtype=np.uint64)
+        centered = np.zeros((outputs, 2, n), dtype=np.int64)
+        pending = 0
+        for i, ct in enumerate(cts):
+            if pending == budget:
+                np.remainder(acc, kept_ctx.qs_full, out=acc)
+                pending = 0
+            pending += 1
+            comps = [comp.to_ntt().residues for comp in ct.components]
+            for j in range(outputs):
+                pt = self.encode_cached(
+                    lambda j=j, i=i: values(j, i),
+                    level=level,
+                    scale=pt_scale,
+                    cache_key=(*cache_key, j, i),
+                ).poly.residues
+                for c, res in enumerate(comps):
+                    np.multiply(res[:-1], pt[:-1], out=prod)
+                    np.add(acc[j, c], prod, out=acc[j, c])
+                    np.multiply(res[-1], pt[-1], out=last[j, c])
+            # Each term's last limb: reduce, inverse-transform, center.
+            np.remainder(last, np.uint64(q_last), out=last)
+            coeffs = backend.inverse(n, (q_last,), last[:, :, None, :])
+            signed = coeffs.view(np.int64)
+            np.subtract(signed, q_last, out=signed, where=coeffs > q_last // 2)
+            centered += signed[:, :, 0, :]
+        np.remainder(acc, kept_ctx.qs_full, out=acc)
+        # Per output, so the transform's temporaries stay small.  A sum of
+        # centered values is not itself centered: lift with a true modulo
+        # rather than centered_lift.
+        inv_full, inv_shoup = basis.ntt().rescale_inverses_tiled()
+        for j in range(outputs):
+            lifted = np.mod(centered[j, :, None, :], kept_ctx.qs_full_i64)
+            lifted = lifted.astype(np.uint64)
+            lifted = backend.forward(n, kept, lifted)
+            diff = backend.modsub(n, kept, acc[j], lifted)
+            acc[j] = backend.modmul_const(n, kept, diff, inv_full, inv_shoup)
+        return acc
+
     def encode_cached(
         self, values, level: int | None, scale: float, cache_key=None
     ) -> Plaintext:
@@ -554,6 +684,12 @@ class Evaluator:
         self._note(HeOp.KEY_SWITCH, logical)
         self._note(HeOp.CC_ADD, logical)
         return Ciphertext(components=(sum0 + k0, c1 + k1), scale=ct.scale)
+
+
+def _lazy_product_budget(q: int) -> int:
+    """How many raw products of residues below ``q`` a uint64 accumulator
+    holding a reduced remainder can absorb without overflowing."""
+    return ((1 << 64) - q) // ((q - 1) ** 2)
 
 
 def _reduce_ext(acc: np.ndarray, ext_ctx) -> np.ndarray:

@@ -132,23 +132,27 @@ class RnsPolynomial:
     ) -> "RnsPolynomial":
         """Build from signed integer coefficients (coefficient domain).
 
-        Coefficients may be arbitrary Python ints; each is reduced into every
-        prime of the basis.
+        Coefficients may be an int64 array (reduced into every prime in one
+        vectorized call) or arbitrary Python ints.
         """
-        coeffs = np.asarray(coefficients, dtype=object)
+        if isinstance(coefficients, np.ndarray) and coefficients.dtype.kind == "i":
+            coeffs = coefficients
+        else:
+            coeffs = np.asarray(coefficients, dtype=object)
         if coeffs.shape != (basis.n,):
             raise ValueError(f"expected {basis.n} coefficients, got {coeffs.shape}")
-        try:
-            # Word-sized coefficients (the common case: every valid CKKS
-            # encoding fits int64): reduce all rows in one vectorized call.
-            small = np.array([int(c) for c in coeffs], dtype=np.int64)
-        except OverflowError:
-            rows = np.empty((basis.level, basis.n), dtype=_U64)
-            for i, q in enumerate(basis.primes):
-                rows[i] = np.array([int(c) % q for c in coeffs], dtype=_U64)
-        else:
-            qs = np.array(basis.primes, dtype=np.int64).reshape(-1, 1)
-            rows = np.mod(small[None, :], qs).astype(_U64)
+        if coeffs.dtype == object:
+            try:
+                # Word-sized coefficients (every valid CKKS encoding fits
+                # int64) take the vectorized path below.
+                coeffs = np.array([int(c) for c in coeffs], dtype=np.int64)
+            except OverflowError:
+                rows = np.empty((basis.level, basis.n), dtype=_U64)
+                for i, q in enumerate(basis.primes):
+                    rows[i] = np.array([int(c) % q for c in coeffs], dtype=_U64)
+                return cls(basis, rows, is_ntt=False)
+        qs = np.array(basis.primes, dtype=np.int64).reshape(-1, 1)
+        rows = np.mod(np.asarray(coeffs, dtype=np.int64)[None, :], qs).astype(_U64)
         return cls(basis, rows, is_ntt=False)
 
     # -- domain conversions ---------------------------------------------------

@@ -76,7 +76,11 @@ class PackedLayer:
 @dataclass
 class PackedConv(PackedLayer):
     """LoLa convolution: one ``PCmult -> Rescale -> CCadd`` pass per kernel
-    offset per output group, plus a bias PCadd (an **NKS** layer)."""
+    offset per output group, plus a bias PCadd (an **NKS** layer).
+
+    The passes execute fused (:meth:`~repro.fhe.ops.Evaluator
+    .multiply_values_rescale_sum`: one shared rescale transform per output
+    group), bit-identical to and counted as the per-offset chain."""
 
     name: str
     packing: ConvPacking
@@ -101,18 +105,14 @@ class PackedConv(PackedLayer):
         k = self.packing.spec.kernel_offsets
         if len(cts) != k:
             raise ValueError(f"expected {k} per-offset ciphertexts, got {len(cts)}")
+        sums = evaluator.multiply_values_rescale_sum(
+            cts,
+            lambda g, o: self.packing.weight_vector(g, o, self.weights),
+            self.packing.num_groups,
+            cache_key=(self._cache_token, "w"),
+        )
         outputs: list[Ciphertext] = []
-        for g in range(self.packing.num_groups):
-            acc: Ciphertext | None = None
-            for offset in range(k):
-                term = evaluator.multiply_values_rescale(
-                    cts[offset],
-                    lambda g=g, o=offset: self.packing.weight_vector(
-                        g, o, self.weights
-                    ),
-                    cache_key=(self._cache_token, "w", g, offset),
-                )
-                acc = term if acc is None else evaluator.add(acc, term)
+        for g, acc in enumerate(sums):
             bias_pt = evaluator.encode_cached(
                 lambda g=g: self.packing.bias_vector(g, self.bias),
                 level=acc.level,
@@ -267,16 +267,14 @@ class PackedDense(PackedLayer):
             base = evaluator.rotate_fold(inputs[0], pk.replication_steps())
             inputs = [base]
 
+        partials = evaluator.multiply_values_rescale_sum(
+            inputs,
+            lambda c, g: pk.weight_vector(c, g, self.weights),
+            pk.num_chunks,
+            cache_key=(self._cache_token, "w"),
+        )
         chunk_results: list[Ciphertext] = []
-        for chunk in range(pk.num_chunks):
-            partial: Ciphertext | None = None
-            for g, ct in enumerate(inputs):
-                term = evaluator.multiply_values_rescale(
-                    ct,
-                    lambda c=chunk, g=g: pk.weight_vector(c, g, self.weights),
-                    cache_key=(self._cache_token, "w", chunk, g),
-                )
-                partial = term if partial is None else evaluator.add(partial, term)
+        for chunk, partial in enumerate(partials):
             reduced = self._rotate_sum(evaluator, partial)
             if pk.needs_mask:
                 # Isolate this chunk's output slots so merging cannot

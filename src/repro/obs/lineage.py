@@ -37,7 +37,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Iterator
 
+import numpy as np
+
 from . import probes
+
+#: Span/node name of :meth:`repro.fhe.ops.Evaluator
+#: .multiply_values_rescale_sum`: one node per output sum.
+FUSED_SUM_OP = "PCmultRescaleSum"
 
 
 class NoiseAuditError(RuntimeError):
@@ -226,17 +232,20 @@ class LineageTracker:
 
     def observe(self, op_name: str, evaluator, args, kwargs, out) -> None:
         """Record one evaluator op.  Called by the ``_probed`` wrapper in
-        :mod:`repro.fhe.ops` (obs-enabled path only)."""
+        :mod:`repro.fhe.ops` (obs-enabled path only).  A multi-output op
+        (hoisted rotations, fused sums) records one node per output."""
+        outs = out if isinstance(out, list) else [out]
+        for index, item in enumerate(outs):
+            self._observe_one(op_name, evaluator, args, kwargs, item, index)
+
+    def _observe_one(self, op_name, evaluator, args, kwargs, out, index):
         from ..fhe.ciphertext import Ciphertext, Plaintext
 
-        if isinstance(out, list):
-            # A multi-output op (hoisted rotations): one node per output.
-            for item in out:
-                self.observe(op_name, evaluator, args, kwargs, item)
-            return
         if not isinstance(out, Ciphertext):
             return
-        operands = list(args) + list(kwargs.values())
+        operands = []
+        for a in list(args) + list(kwargs.values()):
+            operands.extend(a if isinstance(a, (list, tuple)) else (a,))
         cts = [a for a in operands if isinstance(a, Ciphertext)]
         if any(out is c for c in cts):
             return  # identity early-return (e.g. rotate by 0): no new ct
@@ -244,7 +253,8 @@ class LineageTracker:
         parent_ids = tuple(self.ensure_id(c) for c in cts)
         parent_bounds = [self._bounds.get(pid) for pid in parent_ids]
         bound = self._propagate(
-            op_name, parent_bounds, plains, evaluator, args, out
+            op_name, parent_bounds, plains, evaluator, args, kwargs, out,
+            index,
         )
         lid = f"ct-{self._next_id:06d}"
         self._next_id += 1
@@ -266,8 +276,10 @@ class LineageTracker:
         )
         self._bounds[lid] = bound
 
-    def _propagate(self, op_name, parent_bounds, plains, evaluator, args, out):
-        """Analytic noise bound of ``out``; never raises into the hot path."""
+    def _propagate(self, op_name, parent_bounds, plains, evaluator, args,
+                   kwargs, out, index):
+        """Analytic noise bound of ``out`` (output ``index`` of a
+        multi-output op); never raises into the hot path."""
         est = self.estimator
         if est is None or any(b is None for b in parent_bounds) \
                 or not parent_bounds:
@@ -297,6 +309,16 @@ class LineageTracker:
                 bound = est.key_switch(parent_bounds[0])
             elif op_name == "Rotate":
                 bound = est.rotate(parent_bounds[0])
+            elif op_name == FUSED_SUM_OP:
+                # Output `index` sums Rescale(PCmult(ct_i, values(index,
+                # i))) over the parents, composed as the conv layer's
+                # propagate_noise does.
+                values = args[1] if len(args) > 1 else kwargs["values"]
+                bound = None
+                for i, parent in enumerate(parent_bounds):
+                    w = max(float(np.max(np.abs(values(index, i)))), 1e-12)
+                    term = est.multiply_values_rescale(parent, w)
+                    bound = term if bound is None else est.add(bound, term)
             elif op_name == "RotateFold":
                 # A hoisted fold group is logically `k` rotate-and-add
                 # steps: acc = acc + rotate(acc) per logical step.
@@ -445,9 +467,18 @@ class LineageTracker:
         ]
 
     def op_counts(self) -> dict[str, int]:
+        """Logical HE ops per op name: a fused-sum node of ``k`` parents
+        counts as its ``k`` PCmult, ``k`` Rescale and ``k - 1`` CCadd."""
         counts: dict[str, int] = {}
         for node in self.nodes.values():
-            counts[node.op] = counts.get(node.op, 0) + 1
+            if node.op == FUSED_SUM_OP:
+                k = len(node.parents)
+                ops = {"PCmult": k, "Rescale": k, "CCadd": k - 1}
+            else:
+                ops = {node.op: 1}
+            for op, count in ops.items():
+                if count:
+                    counts[op] = counts.get(op, 0) + count
         return counts
 
     # -- export -----------------------------------------------------------------

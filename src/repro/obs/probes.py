@@ -33,11 +33,12 @@ def record_flight(kind: str, **fields: Any) -> None:
 
 
 def record_he_op(op: str, level: int | None = None,
-                 scale: float | None = None) -> None:
-    """Count one evaluator operation and publish post-op ciphertext state."""
+                 scale: float | None = None, count: int = 1) -> None:
+    """Count ``count`` evaluator operations and publish post-op ciphertext
+    state."""
     if not config.enabled():
         return
-    REGISTRY.counter("he_ops_total", op=op).inc()
+    REGISTRY.counter("he_ops_total", op=op).inc(count)
     if level is not None:
         REGISTRY.gauge("ciphertext_level", op=op).set(level)
     if scale is not None and scale > 0:

@@ -57,6 +57,31 @@ def test_deterministic_under_seed(small_params):
     assert np.array_equal(ct_a.components[0].residues, ct_b.components[0].residues)
 
 
+def test_encrypt_is_pinned_to_its_formula(small_params):
+    """``encrypt`` is ``(b*u + e0 + m, a*u + e1)`` with ``u, e0, e1``
+    drawn in that order from the context RNG, bit for bit."""
+    from repro.fhe.sampling import sample_gaussian, sample_ternary
+
+    ctx = CkksContext(small_params, seed=21)
+    pt = ctx.encode(np.random.default_rng(22).uniform(-1, 1, 40), level=3)
+    basis = pt.basis
+    ctx.rng = np.random.default_rng(23)
+    u = sample_ternary(basis, ctx.rng).to_ntt()
+    e0 = sample_gaussian(basis, ctx.rng, small_params.error_std).to_ntt()
+    e1 = sample_gaussian(basis, ctx.rng, small_params.error_std).to_ntt()
+    m = pt.poly.to_ntt()
+    want = (
+        ctx.public_key.b.drop_to_basis(basis) * u + e0 + m,
+        ctx.public_key.a.drop_to_basis(basis) * u + e1,
+    )
+    ctx.rng = np.random.default_rng(23)
+    ct = ctx.encrypt(pt)
+    assert ct.scale == pt.scale
+    for got, exp in zip(ct.components, want):
+        assert got.is_ntt
+        assert np.array_equal(got.residues, exp.residues)
+
+
 def test_model_only_params_rejected():
     with pytest.raises(ValueError):
         CkksContext(fxhenn_cifar10_params())

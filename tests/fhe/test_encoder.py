@@ -33,6 +33,26 @@ def test_encode_decode_roundtrip(encoder, basis):
     assert np.allclose(out, values, atol=1e-4)
 
 
+def test_encode_rounds_like_python_ints(encoder, basis):
+    """The vectorized rounding equals rounding each coefficient to a
+    Python int."""
+    from repro.fhe.poly import RnsPolynomial
+
+    values = np.random.default_rng(3).uniform(-10, 10, encoder.slot_count)
+    coeffs = [int(c) for c in np.rint(encoder._embed(values) * SCALE)]
+    want = RnsPolynomial.from_coefficients(basis, coeffs)
+    got = encoder.encode(values, SCALE, basis)
+    assert np.array_equal(got.residues, want.residues)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encode_rejects_non_finite_values(encoder, basis, bad):
+    values = np.zeros(encoder.slot_count)
+    values[5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        encoder.encode(values, SCALE, basis)
+
+
 def test_encode_decode_complex(encoder, basis):
     rng = np.random.default_rng(1)
     values = rng.uniform(-1, 1, encoder.slot_count) + 1j * rng.uniform(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.fhe import Evaluator, OperationRecorder
 from repro.optypes import HeOp
+from tests.oracles import chain_sum
 
 ATOL = 5e-3
 
@@ -110,6 +111,129 @@ def test_multiplication_depth_chain(ctx, evaluator):
     assert ct.level == 1
     assert ct.scale == pytest.approx(ctx.scale)  # scale-stationary
     assert np.allclose(ctx.decrypt_values(ct), expected, atol=5e-2)
+
+
+# -- fused PCmult -> Rescale -> CCadd sums ------------------------------------------
+
+
+def _assert_bit_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.level == w.level and g.scale == w.scale
+        for gc, wc in zip(g.components, w.components):
+            assert gc.is_ntt and wc.is_ntt
+            assert np.array_equal(gc.residues, wc.residues)
+
+
+def _slot_weights(ctx, tag):
+    def values(j, i):
+        return np.random.default_rng([tag, j, i]).uniform(
+            -1, 1, ctx.slot_count
+        )
+    return values
+
+
+def _budget(ctx, level):
+    from repro.fhe.ops import _lazy_product_budget
+
+    return _lazy_product_budget(max(ctx.basis(level).primes[:-1]))
+
+
+@pytest.mark.parametrize("level", [4, 3])
+@pytest.mark.parametrize("k", ["one", "typical", "over-budget"])
+def test_multiply_values_rescale_sum_bit_identical_to_chain(ctx, level, k):
+    k = {"one": 1, "typical": 9, "over-budget": _budget(ctx, level) + 3}[k]
+    base = [ctx.encrypt_values(_vals(ctx, 50 + s), level=level)
+            for s in range(3)]
+    cts = [base[i % 3] for i in range(k)]
+    values = _slot_weights(ctx, 1000 * level + k)
+    key = ("sum-test", level, k)
+    got = Evaluator(ctx).multiply_values_rescale_sum(cts, values, 2, key)
+    _assert_bit_identical(got, chain_sum(Evaluator(ctx), cts, values, 2, key))
+    assert got[0].level == level - 1
+
+
+def test_multiply_values_rescale_sum_worst_case_residues(ctx):
+    """Every residue at ``q - 1`` makes each unreduced product exactly
+    ``(q - 1)**2``: the accumulator meets its reduction budget with no
+    slack, across two reductions."""
+    from repro.fhe import Ciphertext, Plaintext
+    from repro.fhe.poly import RnsPolynomial
+
+    level = 3
+    basis = ctx.basis(level)
+    q_last = basis.primes[-1]
+    top = np.array(basis.primes, dtype=np.uint64)[:, None] - np.uint64(1)
+    poly = RnsPolynomial(basis, np.broadcast_to(top, (level, basis.n)),
+                         is_ntt=True)
+    k = 2 * _budget(ctx, level) + 1
+    key = ("sum-worst",)
+    for i in range(k):
+        ctx.plaintext_cache[((*key, 0, i), level, float(q_last))] = \
+            Plaintext(poly=poly, scale=float(q_last))
+    ct = Ciphertext(components=(poly, poly), scale=ctx.scale)
+
+    def unused(j, i):
+        raise AssertionError("plaintexts come from the cache")
+
+    got = Evaluator(ctx).multiply_values_rescale_sum([ct] * k, unused, 1, key)
+    _assert_bit_identical(got, chain_sum(Evaluator(ctx), [ct] * k, unused,
+                                         1, key))
+
+
+def test_multiply_values_rescale_sum_decrypts_to_the_sum(ctx, evaluator):
+    cts_vals = [_vals(ctx, 70 + s, -1, 1) for s in range(5)]
+    values = _slot_weights(ctx, 71)
+    out = evaluator.multiply_values_rescale_sum(
+        [ctx.encrypt_values(v) for v in cts_vals], values, 2, ("dec",)
+    )
+    for j, ct in enumerate(out):
+        want = sum(v * values(j, i) for i, v in enumerate(cts_vals))
+        assert ct.scale == pytest.approx(ctx.scale)
+        assert np.allclose(ctx.decrypt_values(ct), want, atol=ATOL)
+
+
+def test_multiply_values_rescale_sum_counts_the_chain(ctx):
+    from repro import obs
+
+    cts = [ctx.encrypt_values(_vals(ctx, 80 + s)) for s in range(6)]
+    rec = OperationRecorder()
+    with obs.observed():
+        obs.reset()
+        Evaluator(ctx, recorder=rec).multiply_values_rescale_sum(
+            cts, _slot_weights(ctx, 81), 4, ("cnt",)
+        )
+        reg = obs.get_registry()
+        totals = {op: reg.counter("he_ops_total", op=op.value).value
+                  for op in rec.counts}
+    assert rec.counts == {
+        HeOp.PC_MULT: 4 * 6, HeOp.RESCALE: 4 * 6, HeOp.CC_ADD: 4 * 5,
+    }
+    assert totals == rec.counts
+    # A single input adds nothing.
+    rec = OperationRecorder()
+    Evaluator(ctx, recorder=rec).multiply_values_rescale_sum(
+        cts[:1], _slot_weights(ctx, 82), 3, ("cnt1",)
+    )
+    assert rec.counts == {HeOp.PC_MULT: 3, HeOp.RESCALE: 3}
+
+
+def test_multiply_values_rescale_sum_rejects_mixed_inputs(ctx, evaluator):
+    from repro.fhe import Ciphertext
+
+    values, key = _slot_weights(ctx, 90), ("bad",)
+    a = ctx.encrypt_values(_vals(ctx, 91))
+    lower = ctx.encrypt_values(_vals(ctx, 92), level=3)
+    with pytest.raises(ValueError, match="level"):
+        evaluator.multiply_values_rescale_sum([a, lower], values, 1, key)
+    rescaled = Ciphertext(components=a.components, scale=2 * a.scale)
+    with pytest.raises(ValueError, match="scale"):
+        evaluator.multiply_values_rescale_sum([a, rescaled], values, 1, key)
+    cubic = evaluator.multiply(a, a)
+    with pytest.raises(ValueError, match="2-component"):
+        evaluator.multiply_values_rescale_sum([a, cubic], values, 1, key)
+    with pytest.raises(ValueError):
+        evaluator.multiply_values_rescale_sum([], values, 1, key)
 
 
 # -- rotation ----------------------------------------------------------------------

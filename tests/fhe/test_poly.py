@@ -69,6 +69,16 @@ def test_integer_coefficient_roundtrip(seed):
     assert all(-half < c <= half for c in poly.to_integer_coefficients())
 
 
+def test_int64_coefficients_match_python_ints():
+    basis = _basis(3)
+    signed = np.random.default_rng(4).integers(-(2**61), 2**61, basis.n)
+    fast = RnsPolynomial.from_coefficients(basis, signed)
+    slow = RnsPolynomial.from_coefficients(basis, [int(c) for c in signed])
+    assert np.array_equal(fast.residues, slow.residues)
+    with pytest.raises(ValueError):
+        RnsPolynomial.from_coefficients(basis, signed[:-1])
+
+
 def test_large_coefficients_wrap_mod_q():
     basis = _basis(2)
     big_q = basis.modulus
