@@ -49,7 +49,7 @@ NOISE_TOLERANCE = 0.05
 #: extractor also accepts ``*`` to fan one spec out over a whole list.
 _METRICS: dict[str, tuple[tuple[str, str, float], ...]] = {
     # ``speedup`` is end-to-end seconds of the ``reference`` backend over
-    # the default ``montgomery`` backend, measured in the same run on the
+    # the default ``compiled`` backend, measured in the same run on the
     # same algorithms (identical transform work).
     "BENCH_fhe": (
         ("speedup", "higher", WALLCLOCK_TOLERANCE),
@@ -58,7 +58,7 @@ _METRICS: dict[str, tuple[tuple[str, str, float], ...]] = {
         ("op_latency_ms.Rescale.p95_ms", "lower", WALLCLOCK_TOLERANCE),
     ),
     "BENCH_fhe_kernels": (
-        ("backends.montgomery.speedup_vs_reference", "higher",
+        ("backends.compiled.speedup_vs_reference", "higher",
          WALLCLOCK_TOLERANCE),
     ),
     "BENCH_serve": (

@@ -86,7 +86,7 @@ def _backend_help(extra: str = "") -> str:
     """``--kernel-backend`` help text listing the registered backends."""
     names = ", ".join(kernels.available_backends())
     return (f"FHE kernel backend ({names}; default "
-            f"{kernels.DEFAULT_BACKEND}); overrides "
+            f"{kernels.default_backend()}); overrides "
             f"{kernels.ENV_VAR}{extra}")
 
 

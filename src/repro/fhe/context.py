@@ -139,7 +139,13 @@ class CkksContext:
     # -- encryption ------------------------------------------------------------------
 
     def encrypt(self, plaintext: Plaintext) -> Ciphertext:
-        """Public-key encryption: ``ct = (b*u + e0 + m, a*u + e1)``."""
+        """Public-key encryption: ``ct = (b*u + e0 + m, a*u + e1)``.
+
+        ``u, e0, e1`` are drawn in that order from :attr:`rng`.  A
+        coefficient-form ``m`` is added to ``e0`` before the transform:
+        the NTT is linear over canonical residues, so ``NTT(e0 + m)`` is
+        bit-identical to ``NTT(e0) + NTT(m)`` at one forward NTT fewer.
+        """
         basis = plaintext.basis
         full = self.basis()
         if basis.primes != full.primes[: basis.level]:
@@ -147,10 +153,14 @@ class CkksContext:
         pk_b = self.public_key.b.drop_to_basis(basis)
         pk_a = self.public_key.a.drop_to_basis(basis)
         u = sample_ternary(basis, self.rng).to_ntt()
-        e0 = sample_gaussian(basis, self.rng, self.params.error_std).to_ntt()
+        e0 = sample_gaussian(basis, self.rng, self.params.error_std)
         e1 = sample_gaussian(basis, self.rng, self.params.error_std).to_ntt()
-        m = plaintext.poly.to_ntt()
-        c0 = pk_b * u + e0 + m
+        m = plaintext.poly
+        if m.is_ntt:
+            e0m = e0.to_ntt() + m
+        else:
+            e0m = (e0 + m).to_ntt()
+        c0 = pk_b * u + e0m
         c1 = pk_a * u + e1
         return Ciphertext(components=(c0, c1), scale=plaintext.scale)
 

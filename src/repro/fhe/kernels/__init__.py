@@ -5,9 +5,12 @@ forward/inverse, negacyclic multiply, Galois application, batched modular
 arithmetic — is dispatched through a process-global *active backend*
 selected here.  Two backends are registered:
 
-* ``reference``    — per-prime fully-reduced transforms (the oracle).
-* ``montgomery``   — Montgomery/relaxed-lazy stacked transforms (the
-  default and the production path).
+* ``reference``  — per-prime fully-reduced numpy transforms (the oracle).
+* ``compiled``   — the forward/inverse NTT in C with lazy Shoup
+  butterflies, built with the system C compiler when this package is
+  imported (the default and the production path).  It is registered only
+  when the build and load succeed; without it the default falls back to
+  ``reference`` with one logged warning.
 
 Selection precedence: an explicit :func:`set_backend` /
 :func:`using_backend` call wins, then the ``REPRO_KERNEL_BACKEND``
@@ -24,25 +27,28 @@ its backend object even if the active selection changes mid-call.
 
 from __future__ import annotations
 
+import logging
 import os
 import threading
 from contextlib import contextmanager
 from typing import Iterator
 
+from . import compiled
 from .base import KernelBackend
-from .montgomery import MontgomeryBackend, MontgomeryPlan
+from .compiled import CompiledBackend
 from .reference import ReferenceBackend
 
 __all__ = [
     "ENV_VAR",
     "DEFAULT_BACKEND",
+    "FALLBACK_BACKEND",
+    "CompiledBackend",
     "KernelBackend",
-    "MontgomeryBackend",
-    "MontgomeryPlan",
     "ReferenceBackend",
     "active_backend",
     "available_backends",
     "clear_plans",
+    "default_backend",
     "get_backend",
     "plans_info",
     "register_backend",
@@ -53,11 +59,15 @@ __all__ = [
 #: Environment variable consulted when no explicit selection was made.
 ENV_VAR = "REPRO_KERNEL_BACKEND"
 #: Backend used when neither an explicit selection nor the env var is set.
-DEFAULT_BACKEND = "montgomery"
+DEFAULT_BACKEND = "compiled"
+#: Stand-in default when :data:`DEFAULT_BACKEND` could not be built.
+FALLBACK_BACKEND = "reference"
 
+_log = logging.getLogger(__name__)
 _lock = threading.Lock()
 _registry: dict[str, KernelBackend] = {}
 _explicit: str | None = None
+_fallback_warned = False
 
 
 def register_backend(backend: KernelBackend, *, replace: bool = False) -> None:
@@ -98,18 +108,35 @@ def set_backend(name: str | None) -> None:
         _explicit = name
 
 
+def default_backend() -> str:
+    """:data:`DEFAULT_BACKEND` when registered, else :data:`FALLBACK_BACKEND`
+    (logging one warning per process with the reason)."""
+    global _fallback_warned
+    if DEFAULT_BACKEND in _registry:  # the per-op path: one dict lookup
+        return DEFAULT_BACKEND
+    with _lock:
+        warn = not _fallback_warned
+        _fallback_warned = True
+    if warn:
+        _log.warning(
+            "kernel backend %r unavailable (%s); falling back to %r",
+            DEFAULT_BACKEND, compiled.unavailable_reason, FALLBACK_BACKEND,
+        )
+    return FALLBACK_BACKEND
+
+
 def active_backend() -> KernelBackend:
     """The backend all FHE call sites dispatch through right now.
 
     Precedence: :func:`set_backend` > ``REPRO_KERNEL_BACKEND`` env var >
-    :data:`DEFAULT_BACKEND`.  The env var is consulted on every call so
+    :func:`default_backend`.  The env var is consulted on every call so
     subprocess-style test harnesses behave predictably; a dict lookup and
     an environ get keep this cheap enough for per-op dispatch.
     """
     with _lock:
         name = _explicit
     if name is None:
-        name = os.environ.get(ENV_VAR, "").strip() or DEFAULT_BACKEND
+        name = os.environ.get(ENV_VAR, "").strip() or default_backend()
     return get_backend(name)
 
 
@@ -145,4 +172,5 @@ def plans_info() -> dict[str, list[tuple]]:
 
 
 register_backend(ReferenceBackend())
-register_backend(MontgomeryBackend())
+if (_compiled := compiled.load()) is not None:
+    register_backend(_compiled)

@@ -15,7 +15,7 @@ trade-off this layer offers; the property-test suite
 backend.
 
 Backends may precompute per-``(n, primes)`` *plans* (twiddle layouts,
-Montgomery constants, ...).  Plans are cached per backend instance behind a
+Shoup quotients, ...).  Plans are cached per backend instance behind a
 lock and surfaced through :meth:`KernelBackend.plan_keys` /
 :meth:`KernelBackend.clear_plans` so ``repro.fhe.ntt.clear_caches`` and
 ``registry_info`` stay accurate.

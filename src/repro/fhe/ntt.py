@@ -11,11 +11,10 @@ the FHE substrate; its hardware cost model (``LAT_NTT = log2(N) * N /
   into the twiddle factors (forward), and Gentleman-Sande with ``psi**-1``
   (inverse), fully reducing after every stage.  It is the correctness
   oracle behind the ``reference`` kernel backend.
-* :class:`BatchedNttContext` — the per-chain tables shared by the stacked
-  kernels: twiddles and their Shoup quotients for every prime, tiled
-  modulus/Barrett constants, NTT-domain Galois permutations and Rescale
-  constants.  The stacked transforms themselves live in the ``montgomery``
-  kernel backend.
+* :class:`BatchedNttContext` — the per-chain tables shared by the
+  element-wise kernels: tiled modulus/Barrett constants, NTT-domain Galois
+  permutations and Rescale constants.  The production transforms live in
+  the ``compiled`` kernel backend (``kernels/ntt.c``).
 
 HE call sites dispatch transforms through
 :func:`repro.fhe.kernels.active_backend`.  Contexts are cached in an
@@ -39,12 +38,10 @@ from .modmath import (
     mod_inverse,
     mod_mul,
     mod_sub,
+    shoup_precompute,
 )
 
 _U64 = np.uint64
-#: Shoup quotients use beta = 32: with q < 2**30 every butterfly value
-#: stays below 4q <= 2**32 and all intermediate products fit in uint64.
-_SHOUP_SHIFT = _U64(32)
 
 
 def bit_reverse_indices(n: int) -> np.ndarray:
@@ -207,11 +204,9 @@ class BatchedNttContext:
 
     Per-prime constants are stacked along a leading prime axis so the
     kernels operate on ``(..., L, N)`` residue matrices in one numpy call:
-    twiddles ``psi**k`` (bit-reversed) with their Shoup quotients
-    ``w' = floor(w * 2**32 / q)``, ``1/N``, Barrett constants, fully tiled
-    ``(L, N)`` modulus tiles, NTT-domain Galois permutations and the Rescale
-    inverses.  The ``montgomery`` kernel backend builds its plans on these
-    tables, and the KeySwitch and Rescale kernels in :mod:`repro.fhe.ops` /
+    Barrett constants, fully tiled ``(L, N)`` modulus tiles, NTT-domain
+    Galois permutations and the Rescale inverses.  The element-wise
+    kernels and the KeySwitch and Rescale code in :mod:`repro.fhe.ops` /
     :mod:`repro.fhe.poly` read them directly.
     """
 
@@ -220,16 +215,8 @@ class BatchedNttContext:
             raise ValueError("need at least one prime")
         self.n = n
         self.primes = tuple(int(q) for q in primes)
-        contexts = [get_ntt_context(n, q) for q in self.primes]
         level = len(self.primes)
         self.qs = np.array(self.primes, dtype=_U64).reshape(level, 1)
-        self.psi_bitrev = np.stack([c.psi_bitrev for c in contexts])
-        self.psi_inv_bitrev = np.stack([c.psi_inv_bitrev for c in contexts])
-        self.psi_inv_shoup = (self.psi_inv_bitrev << _SHOUP_SHIFT) // self.qs
-        self.n_inv = np.array(
-            [c.n_inv for c in contexts], dtype=_U64
-        ).reshape(level, 1)
-        self.n_inv_shoup = (self.n_inv << _SHOUP_SHIFT) // self.qs
         self.barrett = BatchedBarrett.for_primes(self.primes)
         # Fully-tiled (L, N) copies of the per-prime constants.  Broadcasting
         # an ``(L, 1)`` column over the slot axis forces stride-0 inner loops
@@ -320,7 +307,7 @@ class BatchedNttContext:
         constant multiply."""
         if self._rescale_inv_tiled is None:
             inv = self.rescale_inverses()
-            shoup = (inv << _SHOUP_SHIFT) // self.qs[:-1]
+            shoup = shoup_precompute(inv, self.qs[:-1])
             shape = (self.level - 1, self.n)
             self._rescale_inv_tiled = (
                 np.ascontiguousarray(np.broadcast_to(inv, shape)),

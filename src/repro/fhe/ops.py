@@ -702,22 +702,6 @@ def _reduce_ext(acc: np.ndarray, ext_ctx) -> np.ndarray:
     return batched_barrett_reduce(acc, ext_ctx.barrett)
 
 
-def _forward_for_products(backend, n: int, primes: tuple[int, ...], rows):
-    """Forward-transform key-switch digits destined for Shoup products.
-
-    Uses the backend's *lazy-exit* forward when offered (outputs in
-    ``[0, 4q)`` instead of canonical ``[0, q)``): the lazy Shoup product
-    only needs its left operand below ``2**32`` and is exact modulo ``q``
-    for any representative, so the deferred Barrett reduction of the inner
-    product yields bit-identical results while the transform skips its
-    final correction pass.
-    """
-    lazy = getattr(backend, "forward_lazy", None)
-    if lazy is not None:
-        return lazy(n, primes, rows)
-    return backend.forward(n, primes, rows)
-
-
 def _lift_digits_ntt(component: RnsPolynomial, ext, ext_ctx) -> np.ndarray:
     """Decompose ``component`` into per-prime digits, centre-lift them into
     the extended basis and forward-transform: the ``(L, ext_L, N)`` matrix
@@ -729,9 +713,7 @@ def _lift_digits_ntt(component: RnsPolynomial, ext, ext_ctx) -> np.ndarray:
     is already NTT-resident its resident row *is* the transform of the
     diagonal entry.  Only the ``L * ext_L - L`` off-diagonal rows are
     transformed — the diagonal is spliced in from the live residues,
-    trimming the dominant forward-NTT batch by ``1/ext_L``.  Mixing the
-    canonical diagonal rows with lazy-exit off-diagonal rows is safe: the
-    downstream Shoup product accepts any representative below ``2**32``.
+    trimming the dominant forward-NTT batch by ``1/ext_L``.
     """
     basis = component.basis
     d = component.to_coefficient()
@@ -752,7 +734,7 @@ def _lift_digits_ntt(component: RnsPolynomial, ext, ext_ctx) -> np.ndarray:
         and ext_level == level + 1
         and ext.primes[:level] == basis.primes
     ):
-        return _forward_for_products(backend, ext.n, ext.primes, lifted)
+        return backend.forward(ext.n, ext.primes, lifted)
     out = np.empty_like(lifted)
     out[np.arange(level), np.arange(level)] = component.residues
     if level > 1:
@@ -765,14 +747,12 @@ def _lift_digits_ntt(component: RnsPolynomial, ext, ext_ctx) -> np.ndarray:
         gathered = np.take_along_axis(
             lifted[:, :level, :], idx[:, :, None], axis=0
         )
-        transformed = _forward_for_products(
-            backend, ext.n, ext.primes[:level], gathered
-        )
+        transformed = backend.forward(ext.n, ext.primes[:level], gathered)
         np.put_along_axis(chain, idx[:, :, None], transformed, axis=0)
     # Special column: all L digits, one (L, 1, N) batch over the special
     # prime (it reduces no digit, so it has no diagonal to splice).
-    out[:, level:, :] = _forward_for_products(
-        backend, ext.n, ext.primes[level:], lifted[:, level:, :]
+    out[:, level:, :] = backend.forward(
+        ext.n, ext.primes[level:], lifted[:, level:, :]
     )
     return out
 
@@ -812,9 +792,7 @@ def _key_switch_lifted(
     Shoup multiplies: each term lands in ``[0, 2q)``, summing ``L <= 8``
     of them stays far below the Barrett input bound, so one deferred
     reduction per key half suffices.  Broadcasting the digits over the
-    stacked ``(b, a)`` pair covers both key halves in a single call.  The
-    reduced result is canonical, so any representative of the digits
-    (lazy-exit or permuted) yields the same output bits.
+    stacked ``(b, a)`` pair covers both key halves in a single call.
     """
     ext = key.basis
     prod = shoup_mul_lazy(

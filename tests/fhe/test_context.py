@@ -82,6 +82,27 @@ def test_encrypt_is_pinned_to_its_formula(small_params):
         assert np.array_equal(got.residues, exp.residues)
 
 
+def test_encrypt_shares_one_forward_ntt_between_e0_and_m(small_params):
+    """A coefficient-form message is added to ``e0`` before the transform:
+    three forward NTTs per encryption instead of four, and the ciphertext
+    bits equal those of an NTT-form message (the four-NTT formula)."""
+    from repro import obs
+    from repro.fhe import Plaintext
+
+    ctx = CkksContext(small_params, seed=21)
+    pt = ctx.encode(np.random.default_rng(22).uniform(-1, 1, 40), level=3)
+    assert not pt.poly.is_ntt
+    rows = obs.get_registry().counter("ntt_transform_rows", direction="forward")
+    before = rows.value
+    ctx.rng = np.random.default_rng(23)
+    merged = ctx.encrypt(pt)
+    assert rows.value - before == 3 * pt.basis.level
+    ctx.rng = np.random.default_rng(23)
+    separate = ctx.encrypt(Plaintext(poly=pt.poly.to_ntt(), scale=pt.scale))
+    for got, exp in zip(merged.components, separate.components):
+        assert np.array_equal(got.residues, exp.residues)
+
+
 def test_model_only_params_rejected():
     with pytest.raises(ValueError):
         CkksContext(fxhenn_cifar10_params())

@@ -1,7 +1,7 @@
 """Property tests: the production FHE path is bit-identical to its oracles.
 
-The production path (stacked Montgomery NTT over all RNS rows, NTT-resident
-Galois and Rescale, plaintext caching, vectorized KeySwitch) is pure
+The production path (the default backend's batched NTT over all RNS rows,
+NTT-resident Galois and Rescale, plaintext caching, vectorized KeySwitch) is pure
 performance work — these tests pin it, bit for bit, to the per-prime
 reference transforms, the schoolbook negacyclic convolution, the
 coefficient-domain Galois/Rescale route and a per-digit KeySwitch.  No
@@ -20,8 +20,8 @@ from repro.fhe.modmath import generate_ntt_primes
 from repro.fhe.ntt import get_ntt_context, negacyclic_convolution_reference
 from repro.fhe.poly import RnsBasis, RnsPolynomial, rescale_polys
 
-#: The stacked production transform under test.
-BATCHED = kernels.get_backend("montgomery")
+#: The production transform under test: the default backend's.
+BATCHED = kernels.get_backend(kernels.default_backend())
 
 
 def _primes(n: int, count: int = 3, bits: int = 24) -> tuple[int, ...]:

@@ -9,7 +9,13 @@ work is never torn.  No tolerances anywhere.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,28 +147,36 @@ def test_modmul_const_matches_modmul(name):
     assert np.array_equal(got, backend.modmul(N, PRIMES, a, consts))
 
 
-def test_montgomery_forward_lazy_congruent():
-    """The lazy-exit forward agrees with the canonical forward modulo q and
-    stays within the documented ``[0, 2**32)`` Shoup input domain."""
-    backend = kernels.get_backend("montgomery")
-    rows = _rows(3)
-    canonical = backend.forward(N, PRIMES, rows)
-    lazy = backend.forward_lazy(N, PRIMES, rows)
-    qs = np.array(PRIMES, dtype=_U64).reshape(-1, 1)
-    assert np.array_equal(lazy % qs, canonical)
-    assert int(lazy.max()) < 2**32
+@pytest.mark.parametrize("name", _backends())
+@pytest.mark.parametrize("batch", [1, 4])
+def test_transforms_match_reference_at_benchmark_ring(name, batch):
+    """N=2048, L=7 (the ``he-*`` benchmark ring), single and batched."""
+    n = 2048
+    primes = tuple(generate_ntt_primes(28, 7, n))
+    rng = np.random.default_rng(batch)
+    rows = np.stack(
+        [rng.integers(0, q, (batch, n), dtype=np.int64) for q in primes], axis=1
+    ).astype(_U64)
+    backend = kernels.get_backend(name)
+    forward = backend.forward(n, primes, rows)
+    assert np.array_equal(forward, REFERENCE.forward(n, primes, rows))
+    assert np.array_equal(
+        backend.inverse(n, primes, rows), REFERENCE.inverse(n, primes, rows)
+    )
+    assert np.array_equal(backend.inverse(n, primes, forward), rows)
 
 
 # -- registry selection ------------------------------------------------------------
 
 
-def test_default_backend_is_registered():
+def test_default_backend_is_registered(monkeypatch):
+    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
     assert kernels.DEFAULT_BACKEND in kernels.available_backends()
     assert kernels.active_backend().name == kernels.DEFAULT_BACKEND
 
 
 def test_catalogue_is_oracle_plus_production_path():
-    assert kernels.available_backends() == ["montgomery", "reference"]
+    assert kernels.available_backends() == ["compiled", "reference"]
 
 
 def test_env_var_selects_backend(monkeypatch):
@@ -172,32 +186,33 @@ def test_env_var_selects_backend(monkeypatch):
 
 def test_explicit_selection_beats_env(monkeypatch):
     monkeypatch.setenv(kernels.ENV_VAR, "reference")
-    kernels.set_backend("montgomery")
+    kernels.set_backend("compiled")
     try:
-        assert kernels.active_backend().name == "montgomery"
+        assert kernels.active_backend().name == "compiled"
     finally:
         kernels.set_backend(None)
     assert kernels.active_backend().name == "reference"
 
 
-def test_using_backend_restores_previous():
+def test_using_backend_restores_previous(monkeypatch):
+    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
     with kernels.using_backend("reference"):
         assert kernels.active_backend().name == "reference"
-        with kernels.using_backend("montgomery"):
-            assert kernels.active_backend().name == "montgomery"
+        with kernels.using_backend("compiled"):
+            assert kernels.active_backend().name == "compiled"
         assert kernels.active_backend().name == "reference"
     assert kernels.active_backend().name == kernels.DEFAULT_BACKEND
 
 
 def test_unknown_backend_raises_with_catalog():
-    with pytest.raises(KeyError, match="montgomery"):
+    with pytest.raises(KeyError, match="compiled"):
         kernels.get_backend("no-such-backend")
     with pytest.raises(KeyError):
         kernels.set_backend("no-such-backend")
 
 
 def test_register_rejects_duplicates_and_abstract():
-    backend = kernels.MontgomeryBackend()
+    backend = kernels.ReferenceBackend()
     with pytest.raises(ValueError, match="already registered"):
         kernels.register_backend(backend)
     abstract = kernels.KernelBackend()
@@ -206,20 +221,89 @@ def test_register_rejects_duplicates_and_abstract():
 
 
 def test_plans_info_and_clear_plans():
-    backend = kernels.get_backend("montgomery")
+    backend = kernels.get_backend("compiled")
     backend.forward(N, PRIMES, _rows(1, batch=1))
     assert (N, PRIMES) in backend.plan_keys()
-    assert "montgomery" in kernels.plans_info()
+    assert "compiled" in kernels.plans_info()
     kernels.clear_plans()
     assert backend.plan_keys() == []
+
+
+# -- compiled backend build and fallback -------------------------------------------
+
+
+def test_compiled_build_is_cached_per_source(monkeypatch, tmp_path):
+    """A fresh cache directory gets one library named by the source hash;
+    the next build reuses it without looking for a compiler."""
+    from repro.fhe.kernels import compiled
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    path = compiled.build()
+    assert path.parent == tmp_path / "repro" and path.exists()
+    assert path == compiled.library_path()
+    monkeypatch.setattr(compiled.shutil, "which", lambda _name: None)
+    assert compiled.build() == path
+    assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+
+_FALLBACK_PROBE = """
+import hashlib, json, logging, shutil
+import numpy as np
+shutil.which = lambda *_a, **_k: None  # no C compiler on this host
+warnings = []
+class Capture(logging.Handler):
+    def emit(self, record):
+        if record.levelno == logging.WARNING:
+            warnings.append(record.getMessage())
+logging.getLogger("repro.fhe.kernels").addHandler(Capture())
+from repro.fhe import kernels
+from repro.fhe.modmath import generate_ntt_primes
+names = [kernels.active_backend().name for _ in range(3)]
+n = 256
+primes = tuple(generate_ntt_primes(28, 3, n))
+rng = np.random.default_rng(5)
+rows = np.stack([rng.integers(0, q, (2, n)) for q in primes], 1).astype(np.uint64)
+backend = kernels.active_backend()
+digest = hashlib.sha256(backend.forward(n, primes, rows).tobytes())
+digest.update(backend.inverse(n, primes, rows).tobytes())
+print(json.dumps({"available": kernels.available_backends(), "names": names,
+                  "warnings": warnings, "digest": digest.hexdigest()}))
+"""
+
+
+def test_fallback_without_compiler(tmp_path):
+    """Without a compiler only ``reference`` registers, the default falls
+    back to it with exactly one warning, and transforms keep their bits."""
+    src = Path(kernels.__file__).parents[3]
+    env = {k: v for k, v in os.environ.items() if k != kernels.ENV_VAR}
+    env.update(XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", _FALLBACK_PROBE],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["available"] == ["reference"]
+    assert got["names"] == ["reference"] * 3
+    assert len(got["warnings"]) == 1
+    assert "no C compiler" in got["warnings"][0]
+    n = 256
+    primes = tuple(generate_ntt_primes(28, 3, n))
+    rng = np.random.default_rng(5)
+    rows = np.stack([rng.integers(0, q, (2, n)) for q in primes], 1).astype(_U64)
+    default = kernels.get_backend(kernels.default_backend())
+    digest = hashlib.sha256(default.forward(n, primes, rows).tobytes())
+    digest.update(default.inverse(n, primes, rows).tobytes())
+    assert got["digest"] == digest.hexdigest()
 
 
 # -- mid-swap concurrency ----------------------------------------------------------
 
 
-def test_concurrent_backend_swaps_never_tear_results():
+def test_concurrent_backend_swaps_never_tear_results(monkeypatch):
     """Worker threads run forward/inverse round trips while the main thread
     flips the active backend; every result must stay bit-identical."""
+    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
     rows = _rows(42)
     expected = REFERENCE.forward(N, PRIMES, rows)
     stop = threading.Event()

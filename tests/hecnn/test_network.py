@@ -158,8 +158,9 @@ def test_provisioned_keys_are_exactly_the_fetched_keys(
 def test_full_mnist_end_to_end():
     """Full-size FxHENN-MNIST (N=8192, L=7) encrypted inference.
 
-    Uses the paper's exact ring/level parameters; runtime is minutes in
-    pure Python, hence the slow marker.
+    Uses the paper's exact ring/level parameters; about 10 s on a 2-CPU
+    host (keygen, key provisioning and one inference), hence the slow
+    marker.
     """
     params = fxhenn_mnist_params()
     model = fxhenn_mnist_model(seed=0, params=params)

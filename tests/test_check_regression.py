@@ -70,7 +70,7 @@ def test_pinned_kernel_backend_mismatch_fails(tmp_path):
     (fresh / "BENCH_fhe.json").write_text(json.dumps(record))
     proc = _run("--only", "BENCH_fhe", "--fresh-dir", str(fresh))
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert "pinned 'montgomery' != 'reference'" in proc.stdout
+    assert "pinned 'compiled' != 'reference'" in proc.stdout
 
 
 def test_kernel_matrix_invariant_and_ratio_gated(tmp_path):
@@ -78,7 +78,7 @@ def test_kernel_matrix_invariant_and_ratio_gated(tmp_path):
     fresh.mkdir()
     record = json.loads((OUTPUT / "BENCH_fhe_kernels.json").read_text())
     record["default_beats_reference"] = False
-    record["backends"]["montgomery"]["speedup_vs_reference"] *= 0.4
+    record["backends"]["compiled"]["speedup_vs_reference"] *= 0.4
     (fresh / "BENCH_fhe_kernels.json").write_text(json.dumps(record))
     proc = _run("--only", "BENCH_fhe_kernels", "--fresh-dir", str(fresh))
     assert proc.returncode == 1

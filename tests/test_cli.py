@@ -206,7 +206,7 @@ def test_unknown_kernel_backend_flag_exits_with_catalogue(stale):
     assert excinfo.value.code != 0
     message = str(excinfo.value)
     assert "--kernel-backend" in message and repr(stale) in message
-    assert "montgomery, reference" in message
+    assert "compiled, reference" in message
 
 
 @pytest.mark.parametrize("command", ["infer", "profile", "explain"])
@@ -217,14 +217,14 @@ def test_unknown_kernel_backend_env_exits_at_startup(command, monkeypatch):
     assert excinfo.value.code != 0
     message = str(excinfo.value)
     assert "REPRO_KERNEL_BACKEND" in message and "'parallel'" in message
-    assert "montgomery, reference" in message
+    assert "compiled, reference" in message
 
 
 def test_kernel_backend_flag_beats_stale_env(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_KERNEL_BACKEND", "parallel")
     try:
         assert main(["infer", "--network", "tiny",
-                     "--kernel-backend", "montgomery"]) == 0
+                     "--kernel-backend", "compiled"]) == 0
     finally:
         from repro.fhe import kernels
 
@@ -237,7 +237,7 @@ def test_kernel_backend_help_lists_registered_backends(capsys):
         main(["infer", "--help"])
     assert excinfo.value.code == 0
     help_text = " ".join(capsys.readouterr().out.split())  # undo wrapping
-    assert "FHE kernel backend (montgomery, reference;" in help_text
+    assert "FHE kernel backend (compiled, reference;" in help_text
 
 
 def test_missing_command_errors():
